@@ -22,7 +22,7 @@ from .relcore import (
     relation_properties,
     validate_drsi,
 )
-from .sheffer import Groupoid, derived_involution, is_sheffer
+from .sheffer import Groupoid, _diagonal_map, is_sheffer
 
 __all__ = [
     "ChoicePolicy",
@@ -114,7 +114,7 @@ def induce_system(g: Groupoid) -> RelationalSystem:
     verdict = is_sheffer(g)
     if not verdict:
         raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails at {verdict.counterexample}")
-    u = derived_involution(g)
+    u = _diagonal_map(g)
     n = g.size
     rows = []
     for x in range(n):

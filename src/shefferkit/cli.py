@@ -25,7 +25,6 @@ transfer construction fails, 2 = malformed input or usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 from typing import Optional
 
@@ -489,13 +488,12 @@ def cmd_enumerate(args) -> int:
         up_to_isomorphism=args.iso,
         limit=args.limit,
     )
-    workers = int(os.environ.get("SHEFFERKIT_THREADS", os.cpu_count() or 1))
-    result = run_enumeration(spec, workers=max(1, min(workers, args.size)))
+    result = run_enumeration(spec)
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")
         print(f"{summary}; models: {len(result.groupoids)}; nodes: {result.nodes}; "
-              f"seconds: {result.seconds:.3f}", file=_sys.stderr)
+              f"forced: {result.forced}; seconds: {result.seconds:.3f}", file=_sys.stderr)
     if args.count:
         print(len(result.groupoids))
         return 0

@@ -1,18 +1,24 @@
 """Exhaustive model search over small operation tables and relational systems.
 
-Tables are filled one cell at a time, diagonal cells first (the defining
-axioms pin x|x down fastest), then the remaining cells row-major.  Every
-required law is ground-instantiated over all variable assignments up
-front; an instance whose both sides become evaluable under the partial
-table is decided immediately, so contradictions prune whole subtrees.
-Results are buffered and emitted in lexicographic table order.
+The table search follows SEM (Zhang & Zhang 1995) and Mace4 (McCune 2003).
+Every required law is ground once over all variable assignments into flat
+instances with literal variable values.  Each undecided instance sits on
+the watch list of one unknown cell that blocks its evaluation, so assigning
+a cell re-examines only the instances on that cell's list: each is decided
+(a violation prunes the subtree), moves to the list of its next blocking
+cell, or forces a value, when one side of an identity (or of the conclusion
+of a quasi-identity whose premises hold) is known and the other side lacks
+only its outermost cell.  Forced cells join the same propagation queue;
+a trail undoes assignments and list moves on backtrack.
+The search branches only on the next unknown cell in diagonal-first order
+(the defining axioms pin x|x down fastest), then row-major.  Results are
+buffered and emitted in lexicographic table order.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -25,7 +31,7 @@ from .relcore import (
     is_directed,
 )
 from .sheffer import Groupoid, get_law
-from .terms import Law, NamedConstant, check_law, _compile
+from .terms import Apply, Law, NamedConstant, check_law, _compile
 
 MAX_ENUM_SIZE = 5
 MAX_DRSI_SIZE = 4
@@ -47,11 +53,15 @@ __all__ = [
 
 def _law_uses_constants(law: Law) -> bool:
     stack = [t for eq in law.premises + (law.conclusion,) for t in eq]
+    seen: set[int] = set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, NamedConstant):
             return True
-        if hasattr(node, "left"):
+        if isinstance(node, Apply):
             stack.append(node.left)
             stack.append(node.right)
     return False
@@ -91,55 +101,45 @@ class EnumerationSpec:
 
 @dataclass
 class EnumerationResult:
+    """Models found, branching nodes tried, wall time, and cells that
+    propagation set (a commutative mirror is not counted again)."""
+
     groupoids: list[Groupoid]
     nodes: int
     seconds: float
+    forced: int
 
 
-class _Instance:
-    """One required law at one ground assignment, over a flat partial table."""
+# A ground instance is (premises, conclusion); every equation is a pair of
+# sides.  A side is a literal value (a bare variable) or a tuple of
+# instructions (a, b): an operand >= 0 is a literal value, an operand k < 0
+# is the result of instruction ~k of the same side, and the side's value is
+# that of its last instruction.
 
-    __slots__ = ("premises", "conclusion")
 
-    def __init__(self, law: Law, combo: tuple[int, ...], slot: dict, n: int):
-        def ground(code):
-            return tuple(ins if ins[0] == "app" else ("lit", combo[ins[1]])
-                         for ins in code)
+def _ground_side(code: list[tuple], combo: tuple[int, ...]) -> Union[int, tuple]:
+    refs: list[int] = []
+    ops: list[tuple[int, int]] = []
+    for ins in code:
+        if ins[0] == "pos":
+            refs.append(combo[ins[1]])
+        else:
+            ops.append((refs[ins[1]], refs[ins[2]]))
+            refs.append(~(len(ops) - 1))
+    return refs[-1] if refs[-1] >= 0 else tuple(ops)
 
-        self.premises = tuple((ground(_compile(l, slot)), ground(_compile(r, slot)))
-                              for l, r in law.premises)
-        self.conclusion = (ground(_compile(law.conclusion[0], slot)),
-                           ground(_compile(law.conclusion[1], slot)))
 
-    @staticmethod
-    def _eval(code, table, n) -> Optional[int]:
-        slots = []
-        for ins in code:
-            if ins[0] == "lit":
-                slots.append(ins[1])
-            else:
-                a = slots[ins[1]]
-                b = slots[ins[2]]
-                slots.append(None if a is None or b is None else table[a * n + b])
-        return slots[-1]
-
-    def status(self, table, n) -> Optional[bool]:
-        """True = satisfied, False = violated, None = still open."""
-        all_known = True
-        for cl, cr in self.premises:
-            lv = self._eval(cl, table, n)
-            rv = self._eval(cr, table, n)
-            if lv is None or rv is None:
-                all_known = False
-            elif lv != rv:
-                return True
-        if not all_known:
-            return None
-        lv = self._eval(self.conclusion[0], table, n)
-        rv = self._eval(self.conclusion[1], table, n)
-        if lv is None or rv is None:
-            return None
-        return lv == rv
+def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
+    """Every law at every assignment of its variables, as flat instances."""
+    out = []
+    for law in laws:
+        slot = {name: k for k, name in enumerate(law.variables)}
+        equations = [(_compile(l, slot), _compile(r, slot))
+                     for l, r in law.premises + (law.conclusion,)]
+        for combo in itertools.product(range(n), repeat=len(slot)):
+            sides = [(_ground_side(l, combo), _ground_side(r, combo)) for l, r in equations]
+            out.append((tuple(sides[:-1]), sides[-1]))
+    return out
 
 
 def _cell_order(n: int) -> list[tuple[int, int]]:
@@ -148,94 +148,166 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _instances(laws: Sequence[Law], n: int) -> list[_Instance]:
-    out = []
-    for law in laws:
-        names = law.variables
-        slot = {name: k for k, name in enumerate(names)}
-        for combo in itertools.product(range(n), repeat=len(names)):
-            out.append(_Instance(law, combo, slot, n))
-    return out
+def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
+    """Complete tables satisfying the constant-free required laws, with the
+    number of branching nodes and of cells forced by propagation.
 
-
-def _search_tables(spec: EnumerationSpec, first_value: int) -> tuple[list[tuple[int, ...]], int]:
+    Cells are flat indices ``i * n + j``; ``table`` holds -1 where unknown.
+    Each undecided instance sits on the watch list of one unknown cell that
+    blocks it.  Assigning a cell re-examines only that cell's list: an
+    instance is decided, moves to the list of its next blocking cell, or
+    forces its one missing cell.  ``trail`` records each assignment as the
+    cell and each watch-list append as ``~cell``, so backtracking pops it.
+    """
     n = spec.size
-    cells = _cell_order(n)
-    prunable = [law for law in spec.require if not _law_uses_constants(law)]
-    pending0 = _instances(prunable, n)
-    table: list[Optional[int]] = [None] * (n * n)
-    results: list[tuple[int, ...]] = []
-    nodes = 0
+    size = n * n
+    order = [i * n + j for i, j in _cell_order(n)]
+    mirror = [(c % n) * n + c // n if spec.commutative else c for c in range(size)]
+    table = [-1] * size
+    watch: list[list[tuple]] = [[] for _ in range(size)]
+    trail: list[int] = []
+    results: list[bytes] = []
+    nodes = forced = 0
 
-    def rec(depth: int, pending: list[_Instance]) -> None:
-        nonlocal nodes
-        if depth == len(cells):
-            results.append(tuple(table))  # type: ignore[arg-type]
-            return
-        i, j = cells[depth]
-        if spec.commutative and i > j:
-            candidates: Sequence[int] = (table[j * n + i],)  # type: ignore[assignment]
-        elif depth == 0:
-            candidates = (first_value,)
+    def side(code) -> int:
+        """Value of a side; else ~cell when only its outermost cell is
+        unknown, else ~cell - size for the first unknown inner cell."""
+        if code.__class__ is int:
+            return code
+        vals: list[int] = []
+        for a, b in code:
+            if a < 0:
+                a = vals[~a]
+            if b < 0:
+                b = vals[~b]
+            cell = a * n + b
+            v = table[cell]
+            if v < 0:
+                return ~cell if len(vals) == len(code) - 1 else ~cell - size
+            vals.append(v)
+        return vals[-1]
+
+    def blocker(value: int) -> int:
+        return ~value if value >= -size else ~(value + size)
+
+    def assign(cell: int, value: int, queue: list[int]) -> None:
+        table[cell] = value
+        trail.append(cell)
+        queue.append(cell)
+        other = mirror[cell]
+        if other != cell:
+            table[other] = value
+            trail.append(other)
+            queue.append(other)
+
+    def examine(inst, queue: list[int]) -> bool:
+        """Settle or re-file one instance; False on a violation."""
+        nonlocal forced
+        for l, r in inst[0]:
+            lv, rv = side(l), side(r)
+            if lv >= 0 and rv >= 0:
+                if lv != rv:
+                    return True
+                continue
+            cell = blocker(lv if lv < 0 else rv)
+            watch[cell].append(inst)
+            trail.append(~cell)
+            return True
+        lv, rv = side(inst[1][0]), side(inst[1][1])
+        if lv >= 0 and rv >= 0:
+            return lv == rv
+        if lv >= 0 and rv >= -size:
+            assign(~rv, lv, queue)
+            forced += 1
+        elif rv >= 0 and lv >= -size:
+            assign(~lv, rv, queue)
+            forced += 1
         else:
-            candidates = range(n)
-        for v in candidates:
+            # watch an inner blocking cell in preference to an outermost one,
+            # so the instance is looked at again as soon as it can force
+            cell = blocker(lv if lv < -size or (lv < 0 and rv >= -size) else rv)
+            watch[cell].append(inst)
+            trail.append(~cell)
+        return True
+
+    def propagate(queue: list[int]) -> bool:
+        while queue:
+            for inst in watch[queue.pop()]:
+                if not examine(inst, queue):
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry >= 0:
+                table[entry] = -1
+            else:
+                watch[~entry].pop()
+
+    def rec(pos: int) -> None:
+        nonlocal nodes
+        while pos < size and table[order[pos]] >= 0:
+            pos += 1
+        if pos == size:
+            results.append(bytes(table))
+            return
+        cell = order[pos]
+        for v in range(n):
             nodes += 1
-            table[i * n + j] = v
-            keep = []
-            ok = True
-            for inst in pending:
-                st = inst.status(table, n)
-                if st is False:
-                    ok = False
-                    break
-                if st is None:
-                    keep.append(inst)
-            if ok:
-                rec(depth + 1, keep)
-            table[i * n + j] = None
+            mark = len(trail)
+            queue: list[int] = []
+            assign(cell, v, queue)
+            if propagate(queue):
+                rec(pos + 1)
+            undo(mark)
 
-    rec(0, pending0)
-    return results, nodes
+    prunable = [law for law in spec.require if not _law_uses_constants(law)]
+    queue: list[int] = []
+    if all(examine(inst, queue) for inst in _ground(prunable, n)) and propagate(queue):
+        rec(0)
+    return results, nodes, forced
 
 
-def _finish_table(spec: EnumerationSpec, flat: tuple[int, ...]) -> list[Groupoid]:
+def _finish_tables(spec: EnumerationSpec, tables: list[bytes]) -> list[Groupoid]:
+    """Models from the complete tables in lexicographic order: forbidden
+    laws filter them, and with bounds each table is crossed with every
+    admissible bottom and top.  Equal rows share one tuple."""
     n = spec.size
     carrier = Carrier.of_size(n)
-    rows = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-    base = Groupoid(carrier, rows)
     plain_forbid = [law for law in spec.forbid if not _law_uses_constants(law)]
-    if any(check_law(base, law).holds for law in plain_forbid):
-        return []
-    if not spec.with_bounds:
-        return [base]
-    out = []
     const_require = [law for law in spec.require if _law_uses_constants(law)]
     const_forbid = [law for law in spec.forbid if _law_uses_constants(law)]
-    for bottom, top in itertools.product(range(n), repeat=2):
-        g = Groupoid(carrier, rows, bottom, top)
-        if all(check_law(g, law).holds for law in const_require) and \
-                not any(check_law(g, law).holds for law in const_forbid):
-            out.append(g)
+    rows_of: dict[bytes, tuple[int, ...]] = {}
+    out: list[Groupoid] = []
+    tables.sort()
+    for flat in tables:
+        rows = []
+        for i in range(0, n * n, n):
+            chunk = flat[i:i + n]
+            row = rows_of.get(chunk)
+            if row is None:
+                row = rows_of[chunk] = tuple(chunk)
+            rows.append(row)
+        base = Groupoid(carrier, tuple(rows))
+        if any(check_law(base, law).holds for law in plain_forbid):
+            continue
+        if not spec.with_bounds:
+            out.append(base)
+            continue
+        for bottom, top in itertools.product(range(n), repeat=2):
+            g = Groupoid(carrier, base.table, bottom, top)
+            if all(check_law(g, law).holds for law in const_require) and \
+                    not any(check_law(g, law).holds for law in const_forbid):
+                out.append(g)
     return out
 
 
-def run_enumeration(spec: EnumerationSpec, workers: int = 1) -> EnumerationResult:
-    """Collect every model of the spec; the work splits on the first cell value."""
+def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
+    """Collect every model of the spec."""
     start = time.perf_counter()
-    n = spec.size
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda v: _search_tables(spec, v), range(n)))
-    else:
-        parts = [_search_tables(spec, v) for v in range(n)]
-    nodes = sum(p[1] for p in parts)
-    groupoids: list[Groupoid] = []
-    for tables, _ in parts:
-        for flat in tables:
-            groupoids.extend(_finish_table(spec, flat))
-    groupoids.sort(key=lambda g: (g.table, g.bottom if g.bottom is not None else -1,
-                                  g.top if g.top is not None else -1))
+    tables, nodes, forced = _search_tables(spec)
+    groupoids = _finish_tables(spec, tables)
     if spec.up_to_isomorphism:
         seen = set()
         kept = []
@@ -247,15 +319,15 @@ def run_enumeration(spec: EnumerationSpec, workers: int = 1) -> EnumerationResul
         groupoids = kept
     if spec.limit is not None:
         groupoids = groupoids[:spec.limit]
-    return EnumerationResult(groupoids, nodes, time.perf_counter() - start)
+    return EnumerationResult(groupoids, nodes, time.perf_counter() - start, forced)
 
 
-def enumerate_groupoids(spec: EnumerationSpec, workers: int = 1) -> Iterator[Groupoid]:
-    yield from run_enumeration(spec, workers).groupoids
+def enumerate_groupoids(spec: EnumerationSpec) -> Iterator[Groupoid]:
+    yield from run_enumeration(spec).groupoids
 
 
-def count_models(spec: EnumerationSpec, workers: int = 1) -> int:
-    return len(run_enumeration(spec, workers).groupoids)
+def count_models(spec: EnumerationSpec) -> int:
+    return len(run_enumeration(spec).groupoids)
 
 
 def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[Groupoid]:

@@ -94,12 +94,16 @@ def is_sheffer(g: Groupoid) -> LawVerdict:
     return LawVerdict(True, None, None, None, checked, "sheffer")
 
 
+def _diagonal_map(g: Groupoid) -> ElementMap:
+    return ElementMap(g.carrier, g.carrier, tuple(g.table[x][x] for x in range(g.size)))
+
+
 def derived_involution(g: Groupoid) -> ElementMap:
     """The map x -> x|x; the first axiom makes it have period two."""
     verdict = is_sheffer(g)
     if not verdict:
         raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
-    return ElementMap(g.carrier, g.carrier, tuple(g.table[x][x] for x in range(g.size)))
+    return _diagonal_map(g)
 
 
 def check_named(g: Groupoid, key: str) -> LawVerdict:

@@ -199,11 +199,15 @@ def format_law(law: "Law") -> str:
 
 
 def term_variables(t: Term) -> tuple[str, ...]:
-    """Distinct variable names, sorted."""
+    """Distinct variable names, sorted; a shared subterm is visited once."""
     seen = set()
+    visited: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
         if isinstance(node, Variable):
             seen.add(node.name)
         elif isinstance(node, Apply):

@@ -25,7 +25,7 @@ from .relcore import (
     is_directed,
     validate_drsi,
 )
-from .sheffer import Groupoid, derived_involution, is_sheffer
+from .sheffer import Groupoid, _diagonal_map, is_sheffer
 
 __all__ = [
     "PairIndexing",
@@ -86,7 +86,7 @@ def twist_sheffer(g: Groupoid, involution: Optional[ElementMap] = None) -> Group
     if not verdict:
         raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
     if involution is None:
-        involution = derived_involution(g)
+        involution = _diagonal_map(g)
     else:
         for x in range(g.size):
             if involution(x) != g.table[x][x]:

@@ -16,6 +16,7 @@ from shefferkit import (
     assign,
     assignment_space,
     coincidence_pairs,
+    get_law,
     induce_system,
     is_assigned,
     is_sheffer,
@@ -57,6 +58,15 @@ class TestInduce:
     def test_rejects_non_sheffer(self, c2):
         with pytest.raises(ValueError, match="AX2"):
             induce_system(Groupoid(c2, ((0, 0), (1, 1))))
+
+    def test_axioms_checked_once(self, ex1, monkeypatch):
+        import shefferkit.sheffer as sheffer
+        checked = []
+        real = sheffer.check_law
+        monkeypatch.setattr(sheffer, "check_law",
+                            lambda g, law: checked.append(law) or real(g, law))
+        induce_system(ex1)
+        assert checked == [get_law("AX1"), get_law("AX2")]
 
     def test_induced_always_validates(self, sheffer_by_size):
         from shefferkit import validate_drsi

@@ -97,12 +97,12 @@ class TestOutputFlag:
         assert out == "4\n"
         assert "models: 4" in err and "nodes:" in err
 
-    def test_thread_env(self, monkeypatch):
-        monkeypatch.setenv("SHEFFERKIT_THREADS", "3")
-        code, out, _ = run_cli(["enumerate", "-n", "3", "--require", "AX1,AX2",
-                                "--count"])
+    def test_stats_count_forced_cells(self):
+        code, out, err = run_cli(["enumerate", "-n", "3", "--require", "AX1,AX2",
+                                  "--count", "--stats"])
         assert code == 0
         assert out == "52\n"
+        assert "; models: 52; nodes: 177; forced: 56; seconds: " in err
 
 
 class TestFileFormats:

@@ -91,7 +91,65 @@ class TestShefferCounts:
     def test_pruning_skips_nodes(self):
         res = run_enumeration(spec_sheffer(3))
         assert 0 < res.nodes < 3 ** 9
+        assert (res.nodes, res.forced) == (177, 56)
         assert res.seconds >= 0
+
+    def test_size_four_counts(self):
+        assert count_models(spec_sheffer(4)) == 5450
+        assert count_models(spec_sheffer(4, up_to_isomorphism=True)) == 270
+        assert count_models(EnumerationSpec(4, require=("AX1", "AX2", "TRANS8"))) == 802
+        assert count_models(EnumerationSpec(4, require=("AX1", "AX2", "SYM7"))) == 434
+
+    def test_size_four_nodes(self):
+        # the search without propagation tried 105,820 nodes here
+        res = run_enumeration(spec_sheffer(4))
+        assert res.nodes == 20268 < 105820
+
+    def test_size_five_commutative(self):
+        assert count_models(spec_sheffer(5, commutative=True)) == 2080
+
+
+# Every search over sizes 1..3 is compared with a filter over all tables.
+CATALOG_IDENTITIES = ("COMM", "SYM7", "TRANS8", "CD3", "CD9", "ANTISYM")
+LAW_SETS = [("AX1",), ("AX2",), ("AX1", "AX2")] + \
+    [("AX1", "AX2", key) for key in CATALOG_IDENTITIES]
+
+
+@pytest.fixture(scope="module")
+def naive_law_tables():
+    """Per size, every table satisfying AX1 or AX2 with the catalog laws it
+    satisfies, in lexicographic order; the other tables meet no spec below."""
+    out = {}
+    for n in (1, 2, 3):
+        rows = []
+        for g in groupoids_naive(n, lambda g: True):
+            holds = {k for k in ("AX1", "AX2") if check_law(g, get_law(k)).holds}
+            if holds:
+                holds.update(k for k in CATALOG_IDENTITIES if check_law(g, get_law(k)).holds)
+                rows.append((g.table, holds))
+        out[n] = rows
+    return out
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
+    def test_model_lists(self, naive_law_tables, laws):
+        banned = "SYM7" if "SYM7" not in laws else "COMM"
+        for n, rows in naive_law_tables.items():
+            for commutative in (False, True):
+                for forbid in ((), (banned,)):
+                    spec = EnumerationSpec(n, require=laws, forbid=forbid,
+                                           commutative=commutative)
+                    got = [g.table for g in run_enumeration(spec).groupoids]
+                    want = [t for t, holds in rows
+                            if holds.issuperset(laws) and not holds.intersection(forbid)
+                            and (not commutative or t == tuple(zip(*t)))]
+                    assert got == want, (n, commutative, forbid)
+
+    def test_deep_primes(self):
+        law = parse_law("x" + "'" * 60 + " = x")
+        got = [g.table for g in run_enumeration(EnumerationSpec(2, require=(law,))).groupoids]
+        assert got == [g.table for g in groupoids_naive(2, lambda g: check_law(g, law).holds)]
 
 
 class TestOrderingAndLimits:
@@ -105,11 +163,6 @@ class TestOrderingAndLimits:
         assert len(gs) == 5
         full = run_enumeration(spec_sheffer(3)).groupoids
         assert [g.table for g in gs] == [g.table for g in full[:5]]
-
-    def test_parallel_matches_serial(self):
-        spec = spec_sheffer(3)
-        assert run_enumeration(spec, workers=3).groupoids == \
-            run_enumeration(spec, workers=1).groupoids
 
 
 class TestForbidAndFind:

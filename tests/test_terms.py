@@ -141,6 +141,14 @@ class TestVariables:
         law = parse_law("x|z = z => x = x'")
         assert law.variables == ("x", "z")
 
+    def test_shared_primes_visited_once(self, nand):
+        # each prime shares its subterm, so a tree walk would take 2**60 steps
+        law = parse_law("x" + "'" * 60 + " = x")
+        assert law.variables == ("x",)
+        assert term_variables(law.conclusion[0]) == ("x",)
+        verdict = check_law(nand, law)
+        assert verdict.holds and verdict.checked == 2
+
 
 class TestEval:
     def test_single_application(self, ex1):

@@ -117,6 +117,15 @@ class TestTwistSheffer:
         with pytest.raises(ValueError):
             twist_sheffer(Groupoid(c2, ((0, 0), (1, 1))))
 
+    def test_axioms_checked_once(self, ex1, monkeypatch):
+        import shefferkit.sheffer as sheffer
+        checked = []
+        real = sheffer.check_law
+        monkeypatch.setattr(sheffer, "check_law",
+                            lambda g, law: checked.append(law) or real(g, law))
+        twist_sheffer(ex1)
+        assert len(checked) == 2
+
 
 class TestEmbedBase:
     def test_chain_base_bottom(self, chain2):
