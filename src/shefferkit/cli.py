@@ -52,7 +52,7 @@ from .relcore import (
 )
 from .search import EnumerationSpec, find_model, run_enumeration
 from .sheffer import CATALOG, Groupoid, check_named, get_law, is_sheffer
-from .terms import LawVerdict, ParseError, check_law, format_law, parse_law
+from .terms import LawVerdict, check_law, format_law, parse_law
 from .twistkleene import is_kleene, kleene_subsystem, twist_product, twist_sheffer
 
 __all__ = [
@@ -636,20 +636,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print("error:", exc, file=_sys.stderr)
-        return 2
-    except ParseError as exc:
-        print("error:", exc, file=_sys.stderr)
-        return 2
-    except KeyError as exc:
-        print("error:", exc.args[0] if exc.args else exc, file=_sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print("error:", exc, file=_sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error:", exc, file=_sys.stderr)
+    except (KeyError, ValueError, RuntimeError, OSError) as exc:
+        # str() of a KeyError quotes its message; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error:", message, file=_sys.stderr)
         return 2
 
 

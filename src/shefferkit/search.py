@@ -31,7 +31,7 @@ from .relcore import (
     is_directed,
 )
 from .sheffer import Groupoid, get_law
-from .terms import Apply, Law, NamedConstant, check_law, _compile
+from .terms import Law, check_law, _compile
 
 MAX_ENUM_SIZE = 5
 MAX_DRSI_SIZE = 4
@@ -49,22 +49,6 @@ __all__ = [
     "enumerate_drsi",
     "canonical_form",
 ]
-
-
-def _law_uses_constants(law: Law) -> bool:
-    stack = [t for eq in law.premises + (law.conclusion,) for t in eq]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, NamedConstant):
-            return True
-        if isinstance(node, Apply):
-            stack.append(node.left)
-            stack.append(node.right)
-    return False
 
 
 def _as_law(value: Union[str, Law]) -> Law:
@@ -95,7 +79,7 @@ class EnumerationSpec:
         object.__setattr__(self, "forbid", tuple(_as_law(l) for l in self.forbid))
         if not self.with_bounds:
             for law in self.require + self.forbid:
-                if _law_uses_constants(law):
+                if law.constants:
                     raise ValueError("laws with constants need with_bounds")
 
 
@@ -117,28 +101,26 @@ class EnumerationResult:
 # that of its last instruction.
 
 
-def _ground_side(code: list[tuple], combo: tuple[int, ...]) -> Union[int, tuple]:
-    refs: list[int] = []
-    ops: list[tuple[int, int]] = []
-    for ins in code:
-        if ins[0] == "pos":
-            refs.append(combo[ins[1]])
-        else:
-            ops.append((refs[ins[1]], refs[ins[2]]))
-            refs.append(~(len(ops) - 1))
-    return refs[-1] if refs[-1] >= 0 else tuple(ops)
-
-
 def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
-    """Every law at every assignment of its variables, as flat instances."""
+    """Every constant-free law at every assignment of its variables, as
+    flat instances."""
     out = []
     for law in laws:
-        slot = {name: k for k, name in enumerate(law.variables)}
-        equations = [(_compile(l, slot), _compile(r, slot))
-                     for l, r in law.premises + (law.conclusion,)]
-        for combo in itertools.product(range(n), repeat=len(slot)):
-            sides = [(_ground_side(l, combo), _ground_side(r, combo)) for l, r in equations]
-            out.append((tuple(sides[:-1]), sides[-1]))
+        # each side compiles on its own, so its instructions keep the side's
+        # own post-order, which decides the cell an instance watches first
+        sides = []
+        for t in law.sides:
+            prog = _compile([t])
+            sides.append(([law.variables.index(name) for name in prog.names], prog.apps,
+                          prog.roots[0], [~i for i in range(len(prog.apps))]))
+        for combo in itertools.product(range(n), repeat=len(law.variables)):
+            ground = []
+            for pos, apps, root, results in sides:
+                refs = [combo[p] for p in pos] + results
+                ground.append(refs[root] if root < len(pos) else
+                              tuple((refs[a], refs[b]) for a, b in apps))
+            eqs = list(zip(ground[0::2], ground[1::2]))
+            out.append((tuple(eqs[:-1]), eqs[-1]))
     return out
 
 
@@ -262,7 +244,7 @@ def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
                 rec(pos + 1)
             undo(mark)
 
-    prunable = [law for law in spec.require if not _law_uses_constants(law)]
+    prunable = [law for law in spec.require if not law.constants]
     queue: list[int] = []
     if all(examine(inst, queue) for inst in _ground(prunable, n)) and propagate(queue):
         rec(0)
@@ -275,9 +257,9 @@ def _finish_tables(spec: EnumerationSpec, tables: list[bytes]) -> list[Groupoid]
     admissible bottom and top.  Equal rows share one tuple."""
     n = spec.size
     carrier = Carrier.of_size(n)
-    plain_forbid = [law for law in spec.forbid if not _law_uses_constants(law)]
-    const_require = [law for law in spec.require if _law_uses_constants(law)]
-    const_forbid = [law for law in spec.forbid if _law_uses_constants(law)]
+    plain_forbid = [law for law in spec.forbid if not law.constants]
+    const_require = [law for law in spec.require if law.constants]
+    const_forbid = [law for law in spec.forbid if law.constants]
     rows_of: dict[bytes, tuple[int, ...]] = {}
     out: list[Groupoid] = []
     tables.sort()

@@ -128,19 +128,14 @@ def majority_check(g: Groupoid) -> Verdict:
 
     Witness layout on failure: (identity label, offending triple, value).
     """
-    n = g.size
-    for x, z in itertools.product(range(n), repeat=2):
-        got = majority_term_value(g, x, z, z)
-        if got != z:
-            return Verdict(False, ("m(x,z,z)=z", (x, z, z), got))
-    for x, y in itertools.product(range(n), repeat=2):
-        got = majority_term_value(g, x, y, x)
-        if got != x:
-            return Verdict(False, ("m(x,y,x)=x", (x, y, x), got))
-    for x, z in itertools.product(range(n), repeat=2):
-        got = majority_term_value(g, x, x, z)
-        if got != x:
-            return Verdict(False, ("m(x,x,z)=x", (x, x, z), got))
+    pairs = list(itertools.product(range(g.size), repeat=2))
+    for label, cases in (("m(x,z,z)=z", (((x, z, z), z) for x, z in pairs)),
+                         ("m(x,y,x)=x", (((x, y, x), x) for x, y in pairs)),
+                         ("m(x,x,z)=x", (((x, x, z), x) for x, z in pairs))):
+        for triple, want in cases:
+            got = majority_term_value(g, *triple)
+            if got != want:
+                return Verdict(False, (label, triple, got))
     return Verdict(True)
 
 

@@ -11,8 +11,13 @@ Grammar (whitespace insignificant)::
     law      := eq | eq ('&' eq)* '=>' eq
 
 '0' and '1' refer to a groupoid's designated bottom and top elements.
-Evaluation walks an explicit instruction list rather than the Python stack,
-so chains of primes of any depth evaluate without recursion.
+Parentheses nest at most ``MAX_NESTING`` levels deep.
+
+Printing, variable collection, evaluation, law checking and the table
+search's grounding all read one walk, ``_walk``: an iterative, hash-consed
+post-order walk that gives each structurally distinct subterm one node.
+A chain of primes of any depth therefore costs linear time, and nothing
+that walks a term recurses on the Python stack.
 """
 
 from __future__ import annotations
@@ -21,12 +26,14 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 MAX_LAW_VARIABLES = 6
+MAX_NESTING = 200  # parentheses; the parser recurses about 3 frames a level
 
 __all__ = [
     "MAX_LAW_VARIABLES",
+    "MAX_NESTING",
     "ParseError",
     "Variable",
     "Apply",
@@ -97,6 +104,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -135,8 +143,12 @@ class _Parser:
         if kind == "one":
             return NamedConstant("top")
         if kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", pos)
+            self.depth += 1
             t = self.term()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return t
         raise ParseError("expected a variable, constant, or '('", pos)
 
@@ -174,46 +186,111 @@ def parse_law(text: str) -> "Law":
     return Law(premises, conclusion)
 
 
-def _fmt(t: Term, as_factor: bool) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, NamedConstant):
-        return "0" if t.which == "bottom" else "1"
-    if t.left == t.right:
-        return _fmt(t.left, True) + "'"
-    body = _fmt(t.left, True) + "|" + _fmt(t.right, True)
-    return "(" + body + ")" if as_factor else body
+def _walk(terms: Sequence[Term]) -> tuple[list[tuple], list[int]]:
+    """The one term walker: an iterative, hash-consed post-order walk.
+
+    Returns the nodes ``("var", name)``, ``("const", which)`` and
+    ``("app", i, j)``, children before parents, with one index per
+    structurally distinct subterm, and the node index of each term.
+    A shared subterm is visited once, and nothing recurses.
+    """
+    nodes: list[tuple] = []
+    index: dict[tuple, int] = {}
+    memo: dict[int, int] = {}
+    roots = []
+    for root in terms:
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if id(t) in memo:
+                continue
+            if isinstance(t, Apply):
+                i, j = memo.get(id(t.left)), memo.get(id(t.right))
+                if i is None or j is None:
+                    stack += (t, t.right, t.left)
+                    continue
+                node: tuple = ("app", i, j)
+            elif isinstance(t, Variable):
+                node = ("var", t.name)
+            else:
+                node = ("const", t.which)
+            k = index.setdefault(node, len(nodes))
+            if k == len(nodes):
+                nodes.append(node)
+            memo[id(t)] = k
+        roots.append(memo[id(root)])
+    return nodes, roots
+
+
+def _print(nodes: list[tuple], root: int) -> str:
+    out: list[str] = []
+    stack: list = [(root, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        k, as_factor = item
+        node = nodes[k]
+        if node[0] == "var":
+            out.append(node[1])
+        elif node[0] == "const":
+            out.append("0" if node[1] == "bottom" else "1")
+        elif node[1] == node[2]:
+            stack += ("'", (node[1], True))
+        elif as_factor:
+            out.append("(")
+            stack += (")", (node[2], True), "|", (node[1], True))
+        else:
+            stack += ((node[2], True), "|", (node[1], True))
+    return "".join(out)
 
 
 def format_term(t: Term) -> str:
     """Canonical printing; prefers the prime sugar, reparses to the same tree."""
-    return _fmt(t, False)
+    nodes, (root,) = _walk([t])
+    return _print(nodes, root)
 
 
 def format_law(law: "Law") -> str:
-    eqs = [f"{format_term(l)} = {format_term(r)}" for l, r in law.premises]
-    conclusion = f"{format_term(law.conclusion[0])} = {format_term(law.conclusion[1])}"
-    if not eqs:
-        return conclusion
-    return " & ".join(eqs) + " => " + conclusion
+    nodes, roots = _walk(law.sides)
+    text = [_print(nodes, root) for root in roots]
+    eqs = [f"{l} = {r}" for l, r in zip(text[0::2], text[1::2])]
+    return " & ".join(eqs[:-1]) + " => " + eqs[-1] if law.premises else eqs[-1]
 
 
 def term_variables(t: Term) -> tuple[str, ...]:
-    """Distinct variable names, sorted; a shared subterm is visited once."""
-    seen = set()
-    visited: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        if isinstance(node, Variable):
-            seen.add(node.name)
-        elif isinstance(node, Apply):
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(seen))
+    """Distinct variable names, sorted."""
+    return tuple(sorted(node[1] for node in _walk([t])[0] if node[0] == "var"))
+
+
+class _Program(NamedTuple):
+    """Slots hold the variables ``names``, then the constants ``consts``,
+    then for each ``(a, b)`` in ``apps`` slot a applied to slot b; ``roots``
+    are the slots of the compiled terms."""
+
+    names: tuple[str, ...]
+    consts: tuple[str, ...]
+    apps: tuple[tuple[int, int], ...]
+    roots: tuple[int, ...]
+
+
+def _compile(terms: Sequence[Term]) -> _Program:
+    nodes, roots = _walk(terms)
+    names = sorted(node[1] for node in nodes if node[0] == "var")
+    consts = sorted(node[1] for node in nodes if node[0] == "const")
+    slot = {("var", name): k for k, name in enumerate(names)}
+    slot.update({("const", which): len(slot) + k for k, which in enumerate(consts)})
+    base = len(slot)
+    apps: list[tuple[int, int]] = []
+    remap: list[int] = []
+    for node in nodes:
+        if node[0] == "app":
+            remap.append(base + len(apps))
+            apps.append((remap[node[1]], remap[node[2]]))
+        else:
+            remap.append(slot[node])
+    return _Program(tuple(names), tuple(consts), tuple(apps), tuple(remap[r] for r in roots))
 
 
 @dataclass(frozen=True)
@@ -227,13 +304,23 @@ class Law:
         if len(self.variables) > MAX_LAW_VARIABLES:
             raise ValueError(f"law uses more than {MAX_LAW_VARIABLES} variables")
 
+    @property
+    def sides(self) -> tuple[Term, ...]:
+        """Both sides of each premise, then of the conclusion."""
+        return tuple(t for eq in self.premises + (self.conclusion,) for t in eq)
+
     @cached_property
+    def _program(self) -> _Program:
+        return _compile(self.sides)
+
+    @property
     def variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for lhs, rhs in self.premises + (self.conclusion,):
-            seen.update(term_variables(lhs))
-            seen.update(term_variables(rhs))
-        return tuple(sorted(seen))
+        return self._program.names
+
+    @property
+    def constants(self) -> tuple[str, ...]:
+        """The constants the law names, "bottom" and/or "top"."""
+        return self._program.consts
 
     @property
     def kind(self) -> str:
@@ -255,39 +342,6 @@ class LawVerdict:
         return self.holds
 
 
-def _compile(term: Term, var_slot: Optional[dict] = None) -> list[tuple]:
-    """Flatten a term into slot instructions; aliased subterms compile once.
-
-    Postfix primes alias their subterm, so an id-keyed memo keeps the
-    instruction count linear in the source length.
-    """
-    memo: dict[int, int] = {}
-    code: list[tuple] = []
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, Apply):
-            if ready:
-                code.append(("app", memo[id(node.left)], memo[id(node.right)]))
-                memo[id(node)] = len(code) - 1
-            else:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-        else:
-            if isinstance(node, Variable):
-                if var_slot is None:
-                    code.append(("var", node.name))
-                else:
-                    code.append(("pos", var_slot[node.name]))
-            else:
-                code.append(("const", node.which))
-            memo[id(node)] = len(code) - 1
-    return code
-
-
 def _constant_index(g, which: str) -> int:
     value = g.bottom if which == "bottom" else g.top
     if value is None:
@@ -296,31 +350,23 @@ def _constant_index(g, which: str) -> int:
     return value
 
 
-def _run(code: list[tuple], g, env) -> int:
-    table = g.table
-    slots: list[int] = []
-    for ins in code:
-        op = ins[0]
-        if op == "app":
-            slots.append(table[slots[ins[1]]][slots[ins[2]]])
-        elif op == "pos":
-            slots.append(env[ins[1]])
-        elif op == "var":
-            try:
-                v = env[ins[1]]
-            except KeyError:
-                raise ValueError(f"unbound variable {ins[1]!r}") from None
-            if not 0 <= v < g.carrier.size:
-                raise ValueError(f"assignment maps {ins[1]!r} outside the carrier")
-            slots.append(v)
-        else:
-            slots.append(_constant_index(g, ins[1]))
-    return slots[-1]
-
-
 def eval_term(g, term: Term, assignment: dict) -> int:
     """Value of ``term`` in groupoid ``g`` under a variable assignment."""
-    return _run(_compile(term), g, assignment)
+    prog = _compile([term])
+    slots = []
+    for name in prog.names:
+        try:
+            v = assignment[name]
+        except KeyError:
+            raise ValueError(f"unbound variable {name!r}") from None
+        if not 0 <= v < g.carrier.size:
+            raise ValueError(f"assignment maps {name!r} outside the carrier")
+        slots.append(v)
+    slots += [_constant_index(g, which) for which in prog.consts]
+    table = g.table
+    for a, b in prog.apps:
+        slots.append(table[slots[a]][slots[b]])
+    return slots[prog.roots[0]]
 
 
 def check_law(g, law: Law) -> LawVerdict:
@@ -329,21 +375,24 @@ def check_law(g, law: Law) -> LawVerdict:
     Identities fail at the first assignment where the two sides differ;
     quasi-identities fail where all premises hold and the conclusion does not.
     ``checked`` counts inspected assignments (n**k when the law holds).
+    Constants are resolved before the first assignment, so a law naming a
+    bound the groupoid lacks raises ValueError even if no premise holds.
     """
-    names = law.variables
-    slot = {name: k for k, name in enumerate(names)}
-    premise_code = [(_compile(l, slot), _compile(r, slot)) for l, r in law.premises]
-    concl_l = _compile(law.conclusion[0], slot)
-    concl_r = _compile(law.conclusion[1], slot)
-
-    n = g.carrier.size
+    prog = law._program
+    consts = [_constant_index(g, which) for which in prog.consts]
+    *premises, (cl, cr) = zip(prog.roots[0::2], prog.roots[1::2])
+    apps = prog.apps
+    table = g.table
     checked = 0
-    for combo in itertools.product(range(n), repeat=len(names)):
+    for combo in itertools.product(range(g.carrier.size), repeat=len(prog.names)):
         checked += 1
-        if any(_run(cl, g, combo) != _run(cr, g, combo) for cl, cr in premise_code):
-            continue
-        lhs = _run(concl_l, g, combo)
-        rhs = _run(concl_r, g, combo)
-        if lhs != rhs:
-            return LawVerdict(False, dict(zip(names, combo)), lhs, rhs, checked)
+        s = [*combo, *consts]
+        for a, b in apps:
+            s.append(table[s[a]][s[b]])
+        for l, r in premises:
+            if s[l] != s[r]:
+                break
+        else:
+            if s[cl] != s[cr]:
+                return LawVerdict(False, dict(zip(prog.names, combo)), s[cl], s[cr], checked)
     return LawVerdict(True, None, None, None, checked)

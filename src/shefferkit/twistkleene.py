@@ -10,7 +10,7 @@ reflexive, directed, and transitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .relcore import (
@@ -25,6 +25,7 @@ from .relcore import (
     is_directed,
     validate_drsi,
 )
+from .morphisms import is_rel_homomorphism
 from .sheffer import Groupoid, _diagonal_map, is_sheffer
 
 __all__ = [
@@ -108,20 +109,13 @@ def twist_sheffer(g: Groupoid, involution: Optional[ElementMap] = None) -> Group
     return Groupoid(idx.pair_carrier(), tuple(table))
 
 
-def _strong_embedding_verdict(src_rel: BinaryRelation, dst_rel: BinaryRelation,
-                              image: tuple[int, ...]) -> Verdict:
-    if len(set(image)) != len(image):
+def _strong_embedding(src: RelationalSystem, dst: RelationalSystem,
+                      f: ElementMap) -> Verdict:
+    """Injective strong homomorphism of the relations alone."""
+    if not f.is_injective():
         return Verdict(False, None, "not injective")
-    n = len(image)
-    for x in range(n):
-        for y in range(n):
-            forward = src_rel.has(x, y)
-            back = dst_rel.has(image[x], image[y])
-            if forward != back:
-                tag = "related pair with unrelated images" if forward else \
-                    "unrelated pair with related images"
-                return Verdict(False, (x, y), tag)
-    return Verdict(True)
+    return is_rel_homomorphism(replace(src, involution=None), replace(dst, involution=None),
+                               f, strong=True)
 
 
 def embed_base(sys: RelationalSystem, a: int) -> tuple[ElementMap, Verdict]:
@@ -137,7 +131,23 @@ def embed_base(sys: RelationalSystem, a: int) -> tuple[ElementMap, Verdict]:
     n = sys.carrier.size
     image = tuple(x * n + a for x in range(n))
     f = ElementMap(sys.carrier, twist.carrier, image)
-    return f, _strong_embedding_verdict(sys.relation, twist.relation, image)
+    return f, _strong_embedding(sys, twist, f)
+
+
+def _cone_check(sys: RelationalSystem, members, reason: str) -> Verdict:
+    """Fails at the first (x, y, z, w) over members x, y with z in
+    L(x, x'), w in U(y, y') and (z, w) unrelated."""
+    rel = sys.relation
+    u = sys.involution
+    lowers = [rel.lower_mask(x, u(x)) for x in members]
+    uppers = [rel.upper_mask(y, u(y)) for y in members]
+    for x, lower in zip(members, lowers):
+        for y, upper in zip(members, uppers):
+            for z in bits_of(lower):
+                gap = upper & ~rel.rows[z]
+                if gap:
+                    return Verdict(False, (x, y, z, (gap & -gap).bit_length() - 1), reason)
+    return Verdict(True)
 
 
 def is_kleene(sys: RelationalSystem) -> Verdict:
@@ -148,20 +158,7 @@ def is_kleene(sys: RelationalSystem) -> Verdict:
     """
     if sys.involution is None:
         raise ValueError("system has no involution")
-    u = sys.involution
-    rel = sys.relation
-    n = sys.carrier.size
-    lowers = [rel.lower_mask(x, u(x)) for x in range(n)]
-    uppers = [rel.upper_mask(y, u(y)) for y in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in bits_of(lowers[x]):
-                gap = uppers[y] & ~rel.rows[z]
-                if gap:
-                    w = (gap & -gap).bit_length() - 1
-                    return Verdict(False, (x, y, z, w),
-                                   "L(x, x') not wholly below U(y, y')")
-    return Verdict(True)
+    return _cone_check(sys, range(sys.carrier.size), "L(x, x') not wholly below U(y, y')")
 
 
 def p_a_subset(sys: RelationalSystem, a: int) -> frozenset[int]:
@@ -195,22 +192,6 @@ class KleeneReport:
     @property
     def passed(self) -> bool:
         return self.drsi.passed and self.kleene.holds and self.embedding.holds
-
-
-def _ambient_kleene(twist: RelationalSystem, members: tuple[int, ...]) -> Verdict:
-    rel = twist.relation
-    star = twist.involution
-    lowers = {p: rel.lower_mask(p, star(p)) for p in members}
-    uppers = {q: rel.upper_mask(q, star(q)) for q in members}
-    for p in members:
-        for q in members:
-            for z in bits_of(lowers[p]):
-                gap = uppers[q] & ~rel.rows[z]
-                if gap:
-                    w = (gap & -gap).bit_length() - 1
-                    return Verdict(False, (p, q, z, w),
-                                   "ambient cones violate the condition")
-    return Verdict(True)
 
 
 def kleene_subsystem(sys: RelationalSystem, a: int) -> tuple[RelationalSystem, KleeneReport]:
@@ -250,7 +231,7 @@ def kleene_subsystem(sys: RelationalSystem, a: int) -> tuple[RelationalSystem, K
         members=members,
         drsi=validate_drsi(sub),
         kleene=is_kleene(sub),
-        kleene_ambient=_ambient_kleene(twist, members),
-        embedding=_strong_embedding_verdict(sys.relation, sub.relation, embed_image),
+        kleene_ambient=_cone_check(twist, members, "ambient cones violate the condition"),
+        embedding=_strong_embedding(sys, sub, ElementMap(sys.carrier, carrier, embed_image)),
     )
     return sub, report

@@ -25,6 +25,8 @@ ERROR_CASES = [
     (["twist-op", "tests/data/lproj.grp"], "not a Sheffer"),
     (["enumerate", "-n", "9"], "must be in 1..5"),
     (["enumerate", "-n", "2", "--require", "NOPE"], "unknown law key"),
+    (["check", "law", "-e", "(" * 300 + "x" + ")" * 300 + " = x", "tests/data/ex1.grp"],
+     "parentheses nested too deeply (at position 200)"),
 ]
 
 
@@ -49,6 +51,10 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
         assert fragment in err
+
+    def test_key_error_message_is_not_requoted(self):
+        code, out, err = run_cli(["check", "named", "FOO", "tests/data/ex1.grp"])
+        assert (code, out, err) == (2, "", "error: unknown law key 'FOO'\n")
 
     def test_usage_error(self):
         code, _out, err = run_cli(["definitely-not-a-command"])

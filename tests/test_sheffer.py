@@ -171,6 +171,10 @@ class TestMajority:
         assert not v.holds
         assert v.witness == ("m(x,x,z)=x", (0, 0, 1), 1)
 
+    def test_constant_table_fails_first_identity(self, c2):
+        v = majority_check(Groupoid(c2, ((0, 0), (0, 0))))
+        assert v.witness == ("m(x,z,z)=z", (0, 1, 1), 0)
+
     def test_cd_laws_imply_majority(self, sheffer_by_size):
         for gs in sheffer_by_size.values():
             for g in gs:

@@ -11,6 +11,7 @@ from shefferkit import (
     ElementMap,
     PairIndexing,
     RelationalSystem,
+    Verdict,
     embed_base,
     induce_system,
     is_assigned,
@@ -235,6 +236,16 @@ class TestKleeneSubsystem:
         for sub in (sub0, subm):
             assert validate_drsi(sub).passed
             assert is_kleene(sub).holds
+
+    def test_failing_embedding_and_ambient_witnesses(self):
+        # directed but neither reflexive nor transitive: 0 -> {1, 2},
+        # 1 -> {0, 2}, 2 -> {0, 1}
+        car = Carrier.of_size(3)
+        base = RelationalSystem(car, BinaryRelation(car, (6, 5, 3)))
+        _sub, report = kleene_subsystem(base, 0)
+        assert report.embedding == Verdict(False, (0, 1), "related pair with unrelated images")
+        assert report.kleene_ambient == Verdict(False, (0, 0, 4, 4),
+                                                "ambient cones violate the condition")
 
     def test_all_reflexive_transitive_bases(self, reflexive_directed_by_size):
         for n, systems in reflexive_directed_by_size.items():
