@@ -17,12 +17,12 @@ from .relcore import (
     BinaryRelation,
     RelationalSystem,
     Verdict,
+    _require_drsi,
     bits_of,
     check_involution,
     relation_properties,
-    validate_drsi,
 )
-from .sheffer import Groupoid, _diagonal_map, is_sheffer
+from .sheffer import Groupoid, derived_involution
 
 __all__ = [
     "ChoicePolicy",
@@ -100,21 +100,9 @@ class AssignmentSpace:
         return math.prod(len(c) for row in self.cells for c in row)
 
 
-def _require_drsi(sys: RelationalSystem) -> None:
-    report = validate_drsi(sys)
-    if not report.passed:
-        for label in ("reflexive", "directed", "involution"):
-            verdict = getattr(report, label)
-            if not verdict.holds:
-                raise ValueError(f"system is not a valid input: {label} check fails ({verdict.reason})")
-
-
 def induce_system(g: Groupoid) -> RelationalSystem:
     """The relational system of a Sheffer groupoid: relate (x,y) iff x'|y' = y."""
-    verdict = is_sheffer(g)
-    if not verdict:
-        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails at {verdict.counterexample}")
-    u = _diagonal_map(g)
+    u = derived_involution(g)
     n = g.size
     rows = []
     for x in range(n):
@@ -229,12 +217,9 @@ def verify_roundtrip(sys: RelationalSystem, policy: Optional[ChoicePolicy] = Non
 def coincidence_pairs(g: Groupoid) -> frozenset[tuple[int, int]]:
     """Pairs (x, y) with x|y = y|y; there every operation assigned to the
     induced system agrees with g."""
-    verdict = is_sheffer(g)
-    if not verdict:
-        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
+    u = derived_involution(g)
     n = g.size
-    return frozenset((x, y) for x in range(n) for y in range(n)
-                     if g.table[x][y] == g.table[y][y])
+    return frozenset((x, y) for x in range(n) for y in range(n) if g.table[x][y] == u(y))
 
 
 def _extreme_bound_table(order: RelationalSystem, upper: bool) -> list[list[int]]:

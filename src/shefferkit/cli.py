@@ -25,6 +25,7 @@ transfer construction fails, 2 = malformed input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 from typing import Optional
 
@@ -307,8 +308,7 @@ def cmd_check_sheffer(args) -> int:
         return 0
     print("axiom:", v.name)
     print("law:", CATALOG[v.name])
-    _print_law_verdict(LawVerdict(False, v.counterexample, v.lhs_value,
-                                  v.rhs_value, v.checked), g.carrier)
+    _print_law_verdict(v, g.carrier)
     return 1
 
 
@@ -525,7 +525,9 @@ def cmd_independence(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shefferkit",
         description="Sheffer groupoids and directed relational systems with involution.")

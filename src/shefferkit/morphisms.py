@@ -6,8 +6,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, check_bounded, validate_drsi
-from .sheffer import Groupoid, is_sheffer
+from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, _require_drsi, check_bounded
+from .sheffer import Groupoid, derived_involution
 from .bridge import induce_system, is_assigned
 
 __all__ = [
@@ -116,13 +116,10 @@ def is_groupoid_homomorphism(ga: Groupoid, gb: Groupoid, f: ElementMap) -> Verdi
 
 def verify_hom_transfer(ga: Groupoid, gb: Groupoid, f: ElementMap) -> bool:
     """A groupoid homomorphism must also map induced system to induced system."""
-    for g in (ga, gb):
-        verdict = is_sheffer(g)
-        if not verdict:
-            raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
+    sys_a, sys_b = induce_system(ga), induce_system(gb)
     if not is_groupoid_homomorphism(ga, gb, f):
         raise ValueError("map is not a groupoid homomorphism")
-    return is_rel_homomorphism(induce_system(ga), induce_system(gb), f).holds
+    return is_rel_homomorphism(sys_a, sys_b, f).holds
 
 
 def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = False,
@@ -223,12 +220,10 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
     defined on representatives and audited over every preimage pair, so a
     kernel that is not a congruence cannot slip through.
     """
-    verdict = is_sheffer(ga)
-    if not verdict:
-        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
     if src_sys is None:
         src_sys = induce_system(ga)
     else:
+        derived_involution(ga)  # the Sheffer guard, which induce_system runs on the other path
         assigned = is_assigned(src_sys, ga)
         if not assigned:
             raise ValueError(f"groupoid is not assigned to the source system: {assigned.reason}")
@@ -259,9 +254,7 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
 
 
 def _require_bounded_drsi(sys: RelationalSystem) -> None:
-    report = validate_drsi(sys)
-    if not report.passed:
-        raise ValueError("system fails the reflexive/directed/involution checks")
+    _require_drsi(sys)
     bounded = check_bounded(sys)
     if not bounded:
         raise ValueError(f"system is not bounded: {bounded.reason} at {bounded.witness}")

@@ -390,6 +390,16 @@ def validate_drsi(sys: RelationalSystem) -> DrsiReport:
     return DrsiReport(reflexive, directed, involution, cone_duality)
 
 
+def _require_drsi(sys: RelationalSystem) -> None:
+    """The DRSI guard of every construction that needs a DRSI: raises
+    ValueError naming the first failing defining condition."""
+    report = validate_drsi(sys)
+    for label in ("reflexive", "directed", "involution"):
+        verdict = getattr(report, label)
+        if not verdict.holds:
+            raise ValueError(f"system is not a valid input: {label} check fails ({verdict.reason})")
+
+
 def check_bounded(sys: RelationalSystem) -> Verdict:
     """Designated bottom below everything, designated top above everything."""
     if sys.bottom is None or sys.top is None:

@@ -349,8 +349,8 @@ def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:
     """All reflexive directed systems with antitone period-two involution.
 
     Iterates every reflexive relation (off-diagonal bits ascending,
-    row-major) crossed with every period-two self-map, keeping the pairs
-    that pass the antitone and directedness filters.
+    row-major) that is directed, crossed with every period-two self-map,
+    keeping the pairs where the map is antitone.
     """
     if not 1 <= n <= MAX_DRSI_SIZE:
         raise ValueError(f"system enumeration size must be in 1..{MAX_DRSI_SIZE}")
@@ -363,10 +363,12 @@ def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:
             if mask >> k & 1:
                 rows[i] |= 1 << j
         relation = BinaryRelation(carrier, tuple(rows))
+        if not is_directed(RelationalSystem(carrier, relation)).holds:
+            continue
         for image in involutions:
             u = ElementMap(carrier, carrier, image)
             sys = RelationalSystem(carrier, relation, u)
-            if check_involution(sys, u).holds and is_directed(sys).holds:
+            if check_involution(sys, u).holds:
                 yield sys
 
 
@@ -378,48 +380,41 @@ class CanonicalForm:
     data: tuple
 
 
-def _relabel_groupoid(g: Groupoid, perm: tuple[int, ...]) -> tuple:
-    n = g.size
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[perm[i]][perm[j]] = perm[g.table[i][j]]
-    flat = tuple(v for row in table for v in row)
-    bounds = None
-    if g.bottom is not None or g.top is not None:
-        bounds = (None if g.bottom is None else perm[g.bottom],
-                  None if g.top is None else perm[g.top])
-    return (flat, bounds)
-
-
-def _relabel_system(sys: RelationalSystem, perm: tuple[int, ...]) -> tuple:
-    n = sys.carrier.size
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            matrix[perm[i]][perm[j]] = 1 if sys.relation.has(i, j) else 0
-    flat = tuple(v for row in matrix for v in row)
-    image = None
-    if sys.involution is not None:
-        relabeled = [0] * n
-        for i in range(n):
-            relabeled[perm[i]] = perm[sys.involution(i)]
-        image = tuple(relabeled)
-    bounds = None
-    if sys.bottom is not None or sys.top is not None:
-        bounds = (None if sys.bottom is None else perm[sys.bottom],
-                  None if sys.top is None else perm[sys.top])
-    return (flat, image, bounds)
-
-
 def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
-    """Minimum over all carrier permutations of the relabeled structure."""
+    """Minimum over all carrier permutations of the relabeled structure.
+
+    Relabeling by ``perm`` reads the cells in row-major order through the
+    inverse permutation.  A groupoid's cell values are elements and are
+    mapped; relation bits are not.  The involution and the bounds are mapped.
+    The data is ``(cells, bounds)`` for a groupoid and ``(cells, involution,
+    bounds)`` for a system, with ``None`` for what the structure lacks.
+    """
     if isinstance(obj, Groupoid):
-        relabel, kind = _relabel_groupoid, "groupoid"
+        kind, rows, involution = "groupoid", obj.table, None
     elif isinstance(obj, RelationalSystem):
-        relabel, kind = _relabel_system, "system"
+        kind, rows, involution = "system", obj.relation.matrix(), obj.involution
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
     n = obj.carrier.size
-    best = min(relabel(obj, perm) for perm in itertools.permutations(range(n)))
+    values = kind == "groupoid"
+    bounded = obj.bottom is not None or obj.top is not None
+    best = None
+    # the inverses of all permutations are all permutations, so the loop
+    # draws the inverse and derives the relabeling from it
+    for inv in itertools.permutations(range(n)):
+        perm = [0] * n
+        for a, i in enumerate(inv):
+            perm[i] = a
+        if values:
+            data: tuple = (tuple([perm[rows[i][j]] for i in inv for j in inv]),)
+        else:
+            data = (tuple([rows[i][j] for i in inv for j in inv]),
+                    None if involution is None else tuple([perm[involution(i)] for i in inv]))
+        bounds = None
+        if bounded:
+            bounds = (None if obj.bottom is None else perm[obj.bottom],
+                      None if obj.top is None else perm[obj.top])
+        data += (bounds,)
+        if best is None or data < best:
+            best = data
     return CanonicalForm(kind, best)

@@ -70,9 +70,6 @@ CATALOG: dict[str, str] = {
     "COMPL": "x|(y|y) = y & (x|x)|(y|y) = y => y = 1",
 }
 
-_NEEDS_BOUNDS = frozenset({"BOUND0", "BOUND1", "COMPL"})
-
-
 @lru_cache(maxsize=None)
 def get_law(key: str) -> Law:
     try:
@@ -94,22 +91,23 @@ def is_sheffer(g: Groupoid) -> LawVerdict:
     return LawVerdict(True, None, None, None, checked, "sheffer")
 
 
-def _diagonal_map(g: Groupoid) -> ElementMap:
-    return ElementMap(g.carrier, g.carrier, tuple(g.table[x][x] for x in range(g.size)))
-
-
 def derived_involution(g: Groupoid) -> ElementMap:
-    """The map x -> x|x; the first axiom makes it have period two."""
+    """The map x -> x|x; the first axiom makes it have period two.
+
+    This is the Sheffer guard of every construction that needs the axioms:
+    a table failing one raises ValueError naming the axiom and its
+    counterexample.
+    """
     verdict = is_sheffer(g)
     if not verdict:
-        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
-    return _diagonal_map(g)
+        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails at {verdict.counterexample}")
+    return ElementMap(g.carrier, g.carrier, tuple(g.table[x][x] for x in range(g.size)))
 
 
 def check_named(g: Groupoid, key: str) -> LawVerdict:
     """Check a catalog law by key."""
     law = get_law(key)
-    if key in _NEEDS_BOUNDS and (g.bottom is None or g.top is None):
+    if law.constants and (g.bottom is None or g.top is None):
         raise ValueError(f"law {key} needs a groupoid with designated bounds")
     verdict = check_law(g, law)
     return LawVerdict(verdict.holds, verdict.counterexample, verdict.lhs_value,

@@ -11,7 +11,6 @@ reflexive, directed, and transitive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .relcore import (
     BinaryRelation,
@@ -26,7 +25,7 @@ from .relcore import (
     validate_drsi,
 )
 from .morphisms import is_rel_homomorphism
-from .sheffer import Groupoid, _diagonal_map, is_sheffer
+from .sheffer import Groupoid, derived_involution
 
 __all__ = [
     "PairIndexing",
@@ -81,21 +80,12 @@ def twist_product(sys: RelationalSystem) -> RelationalSystem:
                             ElementMap(carrier, carrier, swap))
 
 
-def twist_sheffer(g: Groupoid, involution: Optional[ElementMap] = None) -> Groupoid:
+def twist_sheffer(g: Groupoid) -> Groupoid:
     """Sheffer operation on pairs: (x,y)|(z,v) = (y'|v', (x|z)')."""
-    verdict = is_sheffer(g)
-    if not verdict:
-        raise ValueError(f"not a Sheffer groupoid: {verdict.name} fails")
-    if involution is None:
-        involution = _diagonal_map(g)
-    else:
-        for x in range(g.size):
-            if involution(x) != g.table[x][x]:
-                raise ValueError("involution disagrees with x|x on the groupoid")
+    u = derived_involution(g)
     n = g.size
     idx = PairIndexing(g.carrier)
     t = g.table
-    u = involution
     table = []
     for x in range(n):
         for y in range(n):

@@ -111,6 +111,33 @@ class TestOutputFlag:
         assert "; models: 52; nodes: 177; forced: 56; seconds: " in err
 
 
+class TestParserReuse:
+    """``main`` parses every call with one parser built per process."""
+
+    def test_parser_built_once(self):
+        from shefferkit import cli
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_append_options_do_not_carry_over(self):
+        argv = ["enumerate", "-n", "2", "--require", "AX1", "--require", "AX2",
+                "--forbid", "COMM", "--count", "--stats"]
+        for _ in range(2):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (0, "2\n")
+            assert err.startswith("n=2 require=AX1,AX2 forbid=COMM; models: 2;")
+        code, out, err = run_cli(["enumerate", "-n", "2", "--count", "--stats"])
+        assert (code, out) == (0, "16\n")
+        assert err.startswith("n=2 require=- forbid=-; models: 16;")
+
+    def test_output_option_does_not_carry_over(self, tmp_path):
+        golden = (GOLDEN / "induce_ex1.txt").read_text()
+        target = tmp_path / "induced.sys"
+        assert run_cli(["induce", "tests/data/ex1.grp", "-o", str(target)]) == (0, "", "")
+        target.unlink()
+        assert run_cli(["induce", "tests/data/ex1.grp"]) == (0, golden, "")
+        assert not target.exists()
+
+
 class TestFileFormats:
     @pytest.mark.parametrize("name", [
         "ex1.sys", "chain2.sys", "chain3.sys", "bool4.sys", "quotient.sys"])

@@ -106,13 +106,6 @@ class TestTwistSheffer:
         assert is_sheffer(g).holds
         assert induce_system(g) == twist_product(induce_system(nand))
 
-    def test_explicit_involution(self, nand):
-        u = ElementMap(nand.carrier, nand.carrier, (1, 0))
-        assert twist_sheffer(nand, u) == twist_sheffer(nand)
-        bad = ElementMap.identity(nand.carrier)
-        with pytest.raises(ValueError, match="involution"):
-            twist_sheffer(nand, bad)
-
     def test_rejects_non_sheffer(self, c2):
         from shefferkit import Groupoid
         with pytest.raises(ValueError):
