@@ -20,6 +20,7 @@ from .bridge import (
 )
 from .morphisms import (
     EquivalenceRelation,
+    HypothesisError,
     bounded_top_assignment,
     find_homomorphisms,
     induced_image_operation,
@@ -56,7 +57,6 @@ from .search import (
     canonical_form,
     count_models,
     enumerate_drsi,
-    enumerate_groupoids,
     find_model,
     run_enumeration,
 )
@@ -118,7 +118,7 @@ __all__ = [
     "assign", "all_assignments", "is_assigned", "verify_roundtrip",
     "coincidence_pairs", "lattice_sheffer",
     # morphisms
-    "EquivalenceRelation", "is_rel_homomorphism", "is_groupoid_homomorphism",
+    "HypothesisError", "EquivalenceRelation", "is_rel_homomorphism", "is_groupoid_homomorphism",
     "verify_hom_transfer", "find_homomorphisms", "kernel", "is_congruence",
     "induced_image_operation", "bounded_top_assignment", "verify_bounded_hom",
     # twistkleene
@@ -126,6 +126,6 @@ __all__ = [
     "p_a_subset", "KleeneReport", "kleene_subsystem",
     # search
     "EnumerationSpec", "EnumerationResult", "CanonicalForm", "run_enumeration",
-    "enumerate_groupoids", "count_models", "find_model", "enumerate_drsi",
+    "count_models", "find_model", "enumerate_drsi",
     "canonical_form",
 ]

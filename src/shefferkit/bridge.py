@@ -222,24 +222,18 @@ def coincidence_pairs(g: Groupoid) -> frozenset[tuple[int, int]]:
     return frozenset((x, y) for x in range(n) for y in range(n) if g.table[x][y] == u(y))
 
 
-def _extreme_bound_table(order: RelationalSystem, upper: bool) -> list[list[int]]:
-    rel = order.relation
-    names = order.carrier.names
-    n = order.carrier.size
-    word = "upper" if upper else "lower"
+def _least_upper_bounds(rel: BinaryRelation, names: tuple[str, ...], bound: str) -> list[list[int]]:
+    """The least upper bound of every pair; on the transposed order these
+    are the greatest lower bounds, and ``bound`` names which in the error."""
+    n = len(names)
     out = []
     for a in range(n):
         row = []
         for b in range(n):
-            mask = rel.upper_mask(a, b) if upper else rel.lower_mask(a, b)
-            if upper:
-                found = [u for u in bits_of(mask) if rel.rows[u] & mask == mask]
-            else:
-                found = [u for u in bits_of(mask) if rel.column(u) & mask == mask]
+            mask = rel.upper_mask(a, b)
+            found = [u for u in bits_of(mask) if rel.rows[u] & mask == mask]
             if len(found) != 1:
-                raise ValueError(
-                    f"no unique {'least' if upper else 'greatest'} {word} bound "
-                    f"for pair ({names[a]}, {names[b]})")
+                raise ValueError(f"no unique {bound} for pair ({names[a]}, {names[b]})")
             row.append(found[0])
         out.append(row)
     return out
@@ -260,7 +254,10 @@ def lattice_sheffer(order: RelationalSystem, mode: str) -> Groupoid:
     inv_check = check_involution(order, order.involution)
     if not inv_check:
         raise ValueError(f"involution check fails: {inv_check.reason} at {inv_check.witness}")
-    bounds = _extreme_bound_table(order, upper=(mode == "join"))
+    rel, bound = order.relation, "least upper bound"
+    if mode == "meet":
+        rel, bound = rel.transpose(), "greatest lower bound"
+    bounds = _least_upper_bounds(rel, order.carrier.names, bound)
     u = order.involution
     n = order.carrier.size
     table = tuple(tuple(bounds[u(x)][u(y)] for y in range(n)) for x in range(n))

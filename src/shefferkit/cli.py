@@ -37,6 +37,7 @@ from .bridge import (
     verify_roundtrip,
 )
 from .morphisms import (
+    HypothesisError,
     find_homomorphisms,
     induced_image_operation,
     is_groupoid_homomorphism,
@@ -464,7 +465,7 @@ def cmd_quotient(args) -> int:
     f = parse_map_file(_read(args.map), g.carrier, dst_sys.carrier)
     try:
         out = induced_image_operation(g, f, dst_sys)
-    except (ValueError, RuntimeError) as exc:
+    except HypothesisError as exc:
         print("error:", exc, file=_sys.stderr)
         return 1
     _emit(format_groupoid_file(out), args)

@@ -11,6 +11,7 @@ from .sheffer import Groupoid, derived_involution
 from .bridge import induce_system, is_assigned
 
 __all__ = [
+    "HypothesisError",
     "EquivalenceRelation",
     "is_rel_homomorphism",
     "is_groupoid_homomorphism",
@@ -22,6 +23,16 @@ __all__ = [
     "bounded_top_assignment",
     "verify_bounded_hom",
 ]
+
+
+class HypothesisError(ValueError):
+    """The quotient map is not surjective, not strong, or has a non-congruence kernel."""
+
+
+def _first_occurrence_ids(labels) -> tuple[int, ...]:
+    """One block id per distinct label, numbered in order of first occurrence."""
+    order: dict = {}
+    return tuple(order.setdefault(label, len(order)) for label in labels)
 
 
 @dataclass(frozen=True)
@@ -57,13 +68,7 @@ class EquivalenceRelation:
                 ids[x] = k
         if -1 in ids:
             raise ValueError("blocks do not cover the carrier")
-        order: dict[int, int] = {}
-        dense = []
-        for raw in ids:
-            if raw not in order:
-                order[raw] = len(order)
-            dense.append(order[raw])
-        return cls(carrier, tuple(dense))
+        return cls(carrier, _first_occurrence_ids(ids))
 
     def related(self, i: int, j: int) -> bool:
         return self.block_ids[i] == self.block_ids[j]
@@ -186,13 +191,7 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
 
 def kernel(f: ElementMap) -> EquivalenceRelation:
     """Partition of the domain by image value."""
-    order: dict[int, int] = {}
-    dense = []
-    for v in f.image:
-        if v not in order:
-            order[v] = len(order)
-        dense.append(order[v])
-    return EquivalenceRelation(f.domain, tuple(dense))
+    return EquivalenceRelation(f.domain, _first_occurrence_ids(f.image))
 
 
 def is_congruence(g: Groupoid, eq: EquivalenceRelation) -> Verdict:
@@ -229,13 +228,13 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
             raise ValueError(f"groupoid is not assigned to the source system: {assigned.reason}")
     _carriers_match(f, src_sys, dst_sys)
     if not f.is_surjective():
-        raise ValueError("map is not surjective onto the target carrier")
+        raise HypothesisError("map is not surjective onto the target carrier")
     hom = is_rel_homomorphism(src_sys, dst_sys, f, strong=True)
     if not hom:
-        raise ValueError(f"map is not a strong homomorphism: {hom.reason} at {hom.witness}")
+        raise HypothesisError(f"map is not a strong homomorphism: {hom.reason} at {hom.witness}")
     cong = is_congruence(ga, kernel(f))
     if not cong:
-        raise ValueError(f"kernel is not a congruence: witness {cong.witness}")
+        raise HypothesisError(f"kernel is not a congruence: witness {cong.witness}")
 
     m = dst_sys.carrier.size
     preimages: list[list[int]] = [[] for _ in range(m)]

@@ -355,6 +355,18 @@ def _image_mask(u: ElementMap, mask: int) -> int:
     return out
 
 
+def _defining_verdicts(sys: RelationalSystem) -> tuple[Verdict, Verdict, Verdict]:
+    """The reflexive, directed and involution verdicts of a DRSI."""
+    if sys.involution is None:
+        raise ValueError("system has no involution")
+    reflexive = Verdict(True)
+    for x in range(sys.carrier.size):
+        if not sys.relation.has(x, x):
+            reflexive = Verdict(False, (x,), "missing loop")
+            break
+    return reflexive, is_directed(sys), check_involution(sys, sys.involution)
+
+
 def validate_drsi(sys: RelationalSystem) -> DrsiReport:
     """Check reflexivity, directedness, and the involution conditions.
 
@@ -362,20 +374,9 @@ def validate_drsi(sys: RelationalSystem) -> DrsiReport:
     matching upper cone of primed arguments; that fact follows from the
     three conditions and is recorded as an audit verdict.
     """
-    if sys.involution is None:
-        raise ValueError("system has no involution")
+    reflexive, directed, involution = _defining_verdicts(sys)
     n = sys.carrier.size
     rel = sys.relation
-
-    reflexive = Verdict(True)
-    for x in range(n):
-        if not rel.has(x, x):
-            reflexive = Verdict(False, (x,), "missing loop")
-            break
-
-    directed = is_directed(sys)
-    involution = check_involution(sys, sys.involution)
-
     u = sys.involution
     cone_duality = Verdict(True)
     for a in range(n):
@@ -393,9 +394,7 @@ def validate_drsi(sys: RelationalSystem) -> DrsiReport:
 def _require_drsi(sys: RelationalSystem) -> None:
     """The DRSI guard of every construction that needs a DRSI: raises
     ValueError naming the first failing defining condition."""
-    report = validate_drsi(sys)
-    for label in ("reflexive", "directed", "involution"):
-        verdict = getattr(report, label)
+    for label, verdict in zip(("reflexive", "directed", "involution"), _defining_verdicts(sys)):
         if not verdict.holds:
             raise ValueError(f"system is not a valid input: {label} check fails ({verdict.reason})")
 

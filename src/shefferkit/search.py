@@ -43,7 +43,6 @@ __all__ = [
     "EnumerationResult",
     "CanonicalForm",
     "run_enumeration",
-    "enumerate_groupoids",
     "count_models",
     "find_model",
     "enumerate_drsi",
@@ -302,10 +301,6 @@ def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     if spec.limit is not None:
         groupoids = groupoids[:spec.limit]
     return EnumerationResult(groupoids, nodes, time.perf_counter() - start, forced)
-
-
-def enumerate_groupoids(spec: EnumerationSpec) -> Iterator[Groupoid]:
-    yield from run_enumeration(spec).groupoids
 
 
 def count_models(spec: EnumerationSpec) -> int:

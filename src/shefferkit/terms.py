@@ -11,13 +11,13 @@ Grammar (whitespace insignificant)::
     law      := eq | eq ('&' eq)* '=>' eq
 
 '0' and '1' refer to a groupoid's designated bottom and top elements.
-Parentheses nest at most ``MAX_NESTING`` levels deep.
 
-Printing, variable collection, evaluation, law checking and the table
-search's grounding all read one walk, ``_walk``: an iterative, hash-consed
-post-order walk that gives each structurally distinct subterm one node.
-A chain of primes of any depth therefore costs linear time, and nothing
-that walks a term recurses on the Python stack.
+Printing, variable collection, evaluation, law checking, the table
+search's grounding, and term equality and hashing all read one walk,
+``_walk``: an iterative, hash-consed post-order walk that gives each
+structurally distinct subterm one node, so a chain of primes of any depth
+costs linear time.  Neither the walk nor the parser, which keeps the
+enclosing parentheses on an explicit stack, recurses on the Python stack.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 MAX_LAW_VARIABLES = 6
-MAX_NESTING = 200  # parentheses; the parser recurses about 3 frames a level
 
 __all__ = [
     "MAX_LAW_VARIABLES",
-    "MAX_NESTING",
     "ParseError",
     "Variable",
     "Apply",
@@ -64,10 +62,21 @@ class Variable:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Apply:
+    """``left|right``; equal and hashed by structure through ``_walk``."""
+
     left: "Term"
     right: "Term"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Apply):
+            return NotImplemented
+        _, (a, b) = _walk([self, other])
+        return a == b
+
+    def __hash__(self) -> int:
+        return hash(tuple(_walk([self])[0]))
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -114,43 +122,43 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str) -> None:
         if self.peek() != kind:
-            _, text, pos = self.tokens[self.i]
-            raise ParseError(f"expected {what}", pos)
-        return self.next()
+            raise ParseError(f"expected {what}", self.tokens[self.i][2])
+        self.i += 1
 
     def term(self) -> Term:
-        t = self.factor()
-        while self.peek() == "bar":
+        """term := factor ('|' factor)*, parsed in one loop: ``chains`` holds
+        the unfinished ``|`` chain of each enclosing parenthesis."""
+        chains: list[Optional[Term]] = []
+        chain: Optional[Term] = None
+        while True:
+            kind, text, pos = self.next()
+            if kind == "var":
+                t: Term = Variable(text)
+            elif kind == "zero":
+                t = NamedConstant("bottom")
+            elif kind == "one":
+                t = NamedConstant("top")
+            elif kind == "lparen":
+                chains.append(chain)
+                chain = None
+                continue
+            else:
+                raise ParseError("expected a variable, constant, or '('", pos)
+            while True:
+                while self.peek() == "prime":
+                    self.next()
+                    t = Apply(t, t)
+                chain = t if chain is None else Apply(chain, t)
+                if self.peek() == "bar" or not chains:
+                    break
+                # a ')' closes the innermost chain, a factor of the one around it
+                self.expect("rparen", "')'")
+                t, chain = chain, chains.pop()
+            if self.peek() != "bar":
+                return chain
             self.next()
-            t = Apply(t, self.factor())
-        return t
-
-    def factor(self) -> Term:
-        t = self.atom()
-        while self.peek() == "prime":
-            self.next()
-            t = Apply(t, t)
-        return t
-
-    def atom(self) -> Term:
-        kind, text, pos = self.next()
-        if kind == "var":
-            return Variable(text)
-        if kind == "zero":
-            return NamedConstant("bottom")
-        if kind == "one":
-            return NamedConstant("top")
-        if kind == "lparen":
-            if self.depth == MAX_NESTING:
-                raise ParseError("parentheses nested too deeply", pos)
-            self.depth += 1
-            t = self.term()
-            self.expect("rparen", "')'")
-            self.depth -= 1
-            return t
-        raise ParseError("expected a variable, constant, or '('", pos)
 
     def equation(self) -> tuple[Term, Term]:
         lhs = self.term()

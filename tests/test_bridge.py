@@ -253,12 +253,14 @@ class TestLatticeSheffer:
             lattice_sheffer(ex1_system, "join")
 
     def test_rejects_non_lattice(self):
-        # two incomparable points: no join exists
+        # two incomparable points: no join or meet exists
         car = Carrier.of_size(2)
         order = RelationalSystem(car, BinaryRelation.diagonal(car),
                                  ElementMap.identity(car))
         with pytest.raises(ValueError, match="least upper bound"):
             lattice_sheffer(order, "join")
+        with pytest.raises(ValueError, match=r"no unique greatest lower bound for pair \(e0, e1\)"):
+            lattice_sheffer(order, "meet")
 
     def test_mode_validation(self, chain2):
         with pytest.raises(ValueError, match="mode"):

@@ -29,6 +29,7 @@ from shefferkit import (
     verify_hom_transfer,
     verify_roundtrip,
 )
+import shefferkit.relcore as relcore
 import shefferkit.sheffer as sheffer
 
 # the left projection x|y = x satisfies AX1 and fails AX2 at x=0, y=1
@@ -73,9 +74,13 @@ class TestShefferGuard:
         messages = {name: message_of(call) for name, call in calls.items()}
         assert messages == {name: LPROJ_MESSAGE for name in calls}
 
-    @pytest.mark.parametrize("command", ["induce", "twist-op"])
-    def test_cli_reports_the_guard_message(self, command):
-        assert run_cli([command, "tests/data/lproj.grp"]) == (2, "", f"error: {LPROJ_MESSAGE}\n")
+    @pytest.mark.parametrize("argv", [
+        ["induce", "tests/data/lproj.grp"],
+        ["twist-op", "tests/data/lproj.grp"],
+        ["quotient", "tests/data/lproj.grp", "tests/data/identity2.map", "tests/data/chain2.sys"],
+    ], ids=["induce", "twist-op", "quotient"])
+    def test_cli_reports_the_guard_message(self, argv):
+        assert run_cli(argv) == (2, "", f"error: {LPROJ_MESSAGE}\n")
 
 
 class TestDrsiGuard:
@@ -92,6 +97,13 @@ class TestDrsiGuard:
         }
         messages = {name: message_of(call) for name, call in calls.items()}
         assert messages == {name: NOT_REFLEXIVE_MESSAGE for name in calls}
+
+    def test_guard_skips_the_cone_duality_audit(self, ex1_system, monkeypatch):
+        def audit(*args):
+            raise AssertionError("the guard computed the cone-duality audit")
+
+        monkeypatch.setattr(relcore, "_image_mask", audit)
+        assert assignment_space(ex1_system).count >= 1
 
 
 @pytest.fixture

@@ -39,6 +39,14 @@ def random_term(rng, depth):
     return Apply(random_term(rng, depth - 1), random_term(rng, depth - 1))
 
 
+TREES = st.recursive(
+    st.sampled_from([Variable(v) for v in VARS]
+                    + [NamedConstant("bottom"), NamedConstant("top")]),
+    lambda kids: st.tuples(kids, kids).map(lambda p: Apply(*p)),
+    max_leaves=40,
+)
+
+
 class TestParsing:
     def test_axiom_shape(self):
         t = parse_term("(x|y)|(x|x)")
@@ -75,6 +83,23 @@ class TestParsing:
             parse_term(bad)
         assert exc.value.position == pos
         assert f"position {pos}" in str(exc.value)
+
+    @pytest.mark.parametrize("parse,text,message", [
+        (parse_term, "x)", "trailing input after term (at position 1)"),
+        (parse_term, "(x))", "trailing input after term (at position 3)"),
+        (parse_term, "((x)", "expected ')' (at position 4)"),
+        (parse_term, "()", "expected a variable, constant, or '(' (at position 1)"),
+        (parse_term, "(x|y)'|", "expected a variable, constant, or '(' (at position 7)"),
+        (parse_law, "x) = y", "expected '=' (at position 1)"),
+        (parse_law, "x =", "expected a variable, constant, or '(' (at position 3)"),
+        (parse_law, "(x = y)", "expected ')' (at position 3)"),
+        (parse_law, "x=y=>", "expected a variable, constant, or '(' (at position 5)"),
+        (parse_law, "x = y & y = z", "premise list without '=>' (at position 13)"),
+    ])
+    def test_error_messages(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
     def test_law_kinds(self):
         ident = parse_law("x|y = y|x")
@@ -122,14 +147,23 @@ class TestFormatting:
             assert format_term(again) == text
 
     @settings(max_examples=300, deadline=None)
-    @given(st.recursive(
-        st.sampled_from([Variable(v) for v in VARS]
-                        + [NamedConstant("bottom"), NamedConstant("top")]),
-        lambda kids: st.tuples(kids, kids).map(lambda p: Apply(*p)),
-        max_leaves=40,
-    ))
+    @given(TREES)
     def test_fuzz_roundtrip(self, t):
         assert parse_term(format_term(t)) == t
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(TREES, min_size=1, max_size=3), st.integers(1, 5000), st.randoms())
+    def test_deep_spine_roundtrip(self, factors, length, rng):
+        # each step puts the term so far left or right of the next factor, so
+        # the printed form nests up to length - 1 parentheses deep
+        t = factors[0]
+        for k in range(1, length):
+            f = factors[k % len(factors)]
+            t = Apply(t, f) if rng.random() < 0.5 else Apply(f, t)
+        text = format_term(t)
+        again = parse_term(text)
+        assert again == t
+        assert format_term(again) == text
 
 
 class TestVariables:

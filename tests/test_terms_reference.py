@@ -1,14 +1,16 @@
 """The hash-consed term walk against the term walkers it replaced.
 
 ``ref_fmt``, ``ref_compile`` and ``ref_run`` are copies of the earlier tree
-printer and two-mode instruction evaluator, and ``ref_check_law`` is the
-earlier law checker built on them.  They stay here as the reference that
-``format_term`` and ``check_law`` must agree with, plus pins for the term
-shapes that made the earlier walkers exponential or recursive.
+printer and two-mode instruction evaluator, ``ref_check_law`` is the
+earlier law checker built on them, and ``ref_equal`` is the field-by-field
+equality that ``Apply`` had.  They stay here as the reference that
+``format_term``, ``check_law`` and term equality must agree with, plus pins
+for the term shapes that made the earlier walkers exponential or recursive.
 """
 
 import copy
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,9 @@ from shefferkit import (
     Apply,
     Carrier,
     Groupoid,
+    Law,
     LawVerdict,
     NamedConstant,
-    ParseError,
     Variable,
     check_law,
     format_law,
@@ -30,7 +32,6 @@ from shefferkit import (
     parse_law,
     parse_term,
 )
-from shefferkit.terms import MAX_NESTING
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,12 @@ def ref_compile(term, var_slot=None):
                 code.append(("const", node.which))
             memo[id(node)] = len(code) - 1
     return code
+
+
+def ref_equal(s, t):
+    if isinstance(s, Apply) and isinstance(t, Apply):
+        return ref_equal(s.left, t.left) and ref_equal(s.right, t.right)
+    return type(s) is type(t) and s == t
 
 
 def ref_constant_index(g, which):
@@ -170,20 +177,54 @@ def test_long_chain_through_cli():
     assert out.splitlines()[0] == f"law: {CHAIN_TEXT} = x"
 
 
+def test_printed_long_chain_reparses():
+    assert parse_term(CHAIN_TEXT) == parse_term(CHAIN)
+    code, out, err = run_cli(["check", "law", "-e", CHAIN_TEXT + " = x", "tests/data/nand.grp"])
+    assert code in (0, 1), err
+    assert out.splitlines()[0] == f"law: {CHAIN_TEXT} = x"
+
+
 # ---------------------------------------------------------------------------
 # parser nesting
 
 
-def test_nesting_at_the_limit_parses():
-    text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
-    assert parse_term(text) == Variable("x")
+def test_deep_nesting_parses():
+    depth = 10_000
+    text = "y|" + "(" * depth + "x" + ")" * depth
+    assert parse_term(text) == parse_term("y|x")
+    code, out, err = run_cli(["check", "law", "-e", text + " = y", "tests/data/nand.grp"])
+    assert (code, out.splitlines()[0]) == (1, "law: y|x = y"), err
 
 
-def test_nesting_past_the_limit_names_the_parenthesis():
-    depth = MAX_NESTING + 1
-    with pytest.raises(ParseError, match="parentheses nested too deeply") as exc:
-        parse_law("y|" + "(" * depth + "x" + ")" * depth + " = y")
-    assert exc.value.position == 2 + MAX_NESTING
+# ---------------------------------------------------------------------------
+# equality and hashing
+
+
+SMALL_TERMS = st.recursive(
+    st.sampled_from([Variable("x"), Variable("y"), NamedConstant("top")]),
+    _grow, max_leaves=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SMALL_TERMS, SMALL_TERMS)
+def test_equality_matches_reference(s, t):
+    assert (s == t) == ref_equal(s, t)
+    assert (s != t) == (not ref_equal(s, t))
+    if ref_equal(s, t):
+        assert hash(s) == hash(t)
+    law_s, law_t = Law((), (s, t)), Law((), (copy.deepcopy(s), copy.deepcopy(t)))
+    assert law_s == law_t and hash(law_s) == hash(law_t)
+
+
+def test_prime_tower_hashes_and_compares_in_linear_time():
+    # the generated methods compared and hashed the tower as a tree:
+    # 0.5 s at 20 primes, doubling with each prime
+    text = "x" + "'" * 40 + " = x"
+    a, b = parse_law(text), parse_law(text)
+    start = time.perf_counter()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_law("x" + "'" * 39 + " = x")
+    assert time.perf_counter() - start < 0.01
 
 
 # ---------------------------------------------------------------------------
