@@ -52,7 +52,7 @@ from .relcore import (
     relation_properties,
     validate_drsi,
 )
-from .search import EnumerationSpec, find_model, run_enumeration
+from .search import EnumerationSpec, _count_run, find_model, run_enumeration
 from .sheffer import CATALOG, Groupoid, check_named, get_law, is_sheffer
 from .terms import LawVerdict, check_law, format_law, parse_law
 from .twistkleene import is_kleene, kleene_subsystem, twist_product, twist_sheffer
@@ -417,12 +417,7 @@ def cmd_kleene_sub(args) -> int:
     sys = _load_system(args.file)
     base = sys.carrier.index(args.base)
     sub, report = kleene_subsystem(sys, base)
-    idx_names = []
-    n = sys.carrier.size
-    for p in report.members:
-        x, y = divmod(p, n)
-        idx_names.append(f"({sys.carrier.names[x]},{sys.carrier.names[y]})")
-    print("members:", " ".join(idx_names))
+    print("members:", " ".join(sub.carrier.names))
     print("drsi:", "yes" if report.drsi.passed else "no")
     print(_verdict_line("kleene", report.kleene, sub.carrier))
     print(_verdict_line("kleene ambient", report.kleene_ambient, sub.carrier))
@@ -489,14 +484,14 @@ def cmd_enumerate(args) -> int:
         up_to_isomorphism=args.iso,
         limit=args.limit,
     )
-    result = run_enumeration(spec)
+    result = _count_run(spec) if args.count else run_enumeration(spec)
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")
-        print(f"{summary}; models: {len(result.groupoids)}; nodes: {result.nodes}; "
+        print(f"{summary}; models: {result.count}; nodes: {result.nodes}; "
               f"forced: {result.forced}; seconds: {result.seconds:.3f}", file=_sys.stderr)
     if args.count:
-        print(len(result.groupoids))
+        print(result.count)
         return 0
     for k, g in enumerate(result.groupoids, start=1):
         if k > 1:

@@ -11,16 +11,17 @@ of a quasi-identity whose premises hold) is known and the other side lacks
 only its outermost cell.  Forced cells join the same propagation queue;
 a trail undoes assignments and list moves on backtrack.
 The search branches only on the next unknown cell in diagonal-first order
-(the defining axioms pin x|x down fastest), then row-major.  Results are
-buffered and emitted in lexicographic table order.
+(the defining axioms pin x|x down fastest), then row-major.  Tables are
+yielded as found and filtered one at a time by ``_models``; a listing
+sorts them first, a count keeps none.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .relcore import (
     BinaryRelation,
@@ -80,17 +81,21 @@ class EnumerationSpec:
             for law in self.require + self.forbid:
                 if law.constants:
                     raise ValueError("laws with constants need with_bounds")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be at least 0")
 
 
 @dataclass
 class EnumerationResult:
-    """Models found, branching nodes tried, wall time, and cells that
-    propagation set (a commutative mirror is not counted again)."""
+    """Models kept (none when only counting), branching nodes tried, wall
+    time, cells that propagation set (a commutative mirror is not counted
+    again), and the number of models."""
 
     groupoids: list[Groupoid]
     nodes: int
     seconds: float
     forced: int
+    count: int
 
 
 # A ground instance is (premises, conclusion); every equation is a pair of
@@ -129,9 +134,10 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
-    """Complete tables satisfying the constant-free required laws, with the
-    number of branching nodes and of cells forced by propagation.
+def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[bytes]:
+    """Yield each complete table satisfying the constant-free required laws
+    in search order, adding branching nodes and cells forced by propagation
+    to ``result``.
 
     Cells are flat indices ``i * n + j``; ``table`` holds -1 where unknown.
     Each undecided instance sits on the watch list of one unknown cell that
@@ -147,8 +153,6 @@ def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
     table = [-1] * size
     watch: list[list[tuple]] = [[] for _ in range(size)]
     trail: list[int] = []
-    results: list[bytes] = []
-    nodes = forced = 0
 
     def side(code) -> int:
         """Value of a side; else ~cell when only its outermost cell is
@@ -183,7 +187,6 @@ def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
 
     def examine(inst, queue: list[int]) -> bool:
         """Settle or re-file one instance; False on a violation."""
-        nonlocal forced
         for l, r in inst[0]:
             lv, rv = side(l), side(r)
             if lv >= 0 and rv >= 0:
@@ -199,10 +202,10 @@ def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
             return lv == rv
         if lv >= 0 and rv >= -size:
             assign(~rv, lv, queue)
-            forced += 1
+            result.forced += 1
         elif rv >= 0 and lv >= -size:
             assign(~lv, rv, queue)
-            forced += 1
+            result.forced += 1
         else:
             # watch an inner blocking cell in preference to an outermost one,
             # so the instance is looked at again as soon as it can force
@@ -226,42 +229,40 @@ def _search_tables(spec: EnumerationSpec) -> tuple[list[bytes], int, int]:
             else:
                 watch[~entry].pop()
 
-    def rec(pos: int) -> None:
-        nonlocal nodes
+    def rec(pos: int) -> Iterator[bytes]:
         while pos < size and table[order[pos]] >= 0:
             pos += 1
         if pos == size:
-            results.append(bytes(table))
+            yield bytes(table)
             return
         cell = order[pos]
         for v in range(n):
-            nodes += 1
+            result.nodes += 1
             mark = len(trail)
             queue: list[int] = []
             assign(cell, v, queue)
             if propagate(queue):
-                rec(pos + 1)
+                yield from rec(pos + 1)
             undo(mark)
 
     prunable = [law for law in spec.require if not law.constants]
     queue: list[int] = []
     if all(examine(inst, queue) for inst in _ground(prunable, n)) and propagate(queue):
-        rec(0)
-    return results, nodes, forced
+        yield from rec(0)
 
 
-def _finish_tables(spec: EnumerationSpec, tables: list[bytes]) -> list[Groupoid]:
-    """Models from the complete tables in lexicographic order: forbidden
-    laws filter them, and with bounds each table is crossed with every
-    admissible bottom and top.  Equal rows share one tuple."""
+def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid]:
+    """The models among complete tables, one table at a time: with bounds
+    each table is crossed with every bottom and top, the forbidden laws and
+    the required laws with constants filter, and under ``up_to_isomorphism``
+    only the least member of each isomorphism class is kept (Read's orderly
+    generation); the model set is closed under relabeling, so that member is
+    the first of its class in the sorted listing.  Rows share equal tuples."""
     n = spec.size
     carrier = Carrier.of_size(n)
-    plain_forbid = [law for law in spec.forbid if not law.constants]
     const_require = [law for law in spec.require if law.constants]
-    const_forbid = [law for law in spec.forbid if law.constants]
+    bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
     rows_of: dict[bytes, tuple[int, ...]] = {}
-    out: list[Groupoid] = []
-    tables.sort()
     for flat in tables:
         rows = []
         for i in range(0, n * n, n):
@@ -270,50 +271,51 @@ def _finish_tables(spec: EnumerationSpec, tables: list[bytes]) -> list[Groupoid]
             if row is None:
                 row = rows_of[chunk] = tuple(chunk)
             rows.append(row)
-        base = Groupoid(carrier, tuple(rows))
-        if any(check_law(base, law).holds for law in plain_forbid):
-            continue
-        if not spec.with_bounds:
-            out.append(base)
-            continue
-        for bottom, top in itertools.product(range(n), repeat=2):
-            g = Groupoid(carrier, base.table, bottom, top)
-            if all(check_law(g, law).holds for law in const_require) and \
-                    not any(check_law(g, law).holds for law in const_forbid):
-                out.append(g)
-    return out
+        for bottom, top in bounds:
+            g = Groupoid(carrier, tuple(rows), bottom, top)
+            if any(check_law(g, law).holds for law in spec.forbid) or \
+                    not all(check_law(g, law).holds for law in const_require):
+                continue
+            if spec.up_to_isomorphism:
+                relabelings = _relabelings(g)
+                own = next(relabelings)
+                if any(data < own for data in relabelings):
+                    continue
+            yield g
 
 
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
-    """Collect every model of the spec."""
+    """The models of the spec in lexicographic order, at most ``spec.limit``."""
     start = time.perf_counter()
-    tables, nodes, forced = _search_tables(spec)
-    groupoids = _finish_tables(spec, tables)
-    if spec.up_to_isomorphism:
-        seen = set()
-        kept = []
-        for g in groupoids:
-            form = canonical_form(g)
-            if form.data not in seen:
-                seen.add(form.data)
-                kept.append(g)
-        groupoids = kept
-    if spec.limit is not None:
-        groupoids = groupoids[:spec.limit]
-    return EnumerationResult(groupoids, nodes, time.perf_counter() - start, forced)
+    result = EnumerationResult([], 0, 0.0, 0, 0)
+    tables = sorted(_search_tables(spec, result))
+    result.groupoids = list(itertools.islice(_models(spec, tables), spec.limit))
+    result.count = len(result.groupoids)
+    result.seconds = time.perf_counter() - start
+    return result
+
+
+def _count_run(spec: EnumerationSpec) -> EnumerationResult:
+    """Count at most ``spec.limit`` models in search order, keeping none."""
+    start = time.perf_counter()
+    result = EnumerationResult([], 0, 0.0, 0, 0)
+    models = _models(spec, _search_tables(spec, result))
+    result.count = sum(1 for _ in itertools.islice(models, spec.limit))
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def count_models(spec: EnumerationSpec) -> int:
-    return len(run_enumeration(spec).groupoids)
+    return _count_run(spec).count
 
 
 def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[Groupoid]:
     """Lexicographically least model on the smallest carrier up to ``max_size``."""
     for n in range(1, max_size + 1):
-        spec = EnumerationSpec(n, tuple(require), tuple(forbid))
-        result = run_enumeration(spec)
-        if result.groupoids:
-            return result.groupoids[0]
+        spec = EnumerationSpec(n, tuple(require), tuple(forbid), limit=1)
+        found = run_enumeration(spec).groupoids
+        if found:
+            return found[0]
     return None
 
 
@@ -375,8 +377,9 @@ class CanonicalForm:
     data: tuple
 
 
-def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
-    """Minimum over all carrier permutations of the relabeled structure.
+def _relabelings(obj: Union[Groupoid, RelationalSystem]) -> Iterator[tuple]:
+    """The data of ``obj`` relabeled by every carrier permutation, the
+    identity first.
 
     Relabeling by ``perm`` reads the cells in row-major order through the
     inverse permutation.  A groupoid's cell values are elements and are
@@ -385,15 +388,13 @@ def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
     bounds)`` for a system, with ``None`` for what the structure lacks.
     """
     if isinstance(obj, Groupoid):
-        kind, rows, involution = "groupoid", obj.table, None
+        rows, involution, values = obj.table, None, True
     elif isinstance(obj, RelationalSystem):
-        kind, rows, involution = "system", obj.relation.matrix(), obj.involution
+        rows, involution, values = obj.relation.matrix(), obj.involution, False
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
     n = obj.carrier.size
-    values = kind == "groupoid"
     bounded = obj.bottom is not None or obj.top is not None
-    best = None
     # the inverses of all permutations are all permutations, so the loop
     # draws the inverse and derives the relabeling from it
     for inv in itertools.permutations(range(n)):
@@ -409,7 +410,10 @@ def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
         if bounded:
             bounds = (None if obj.bottom is None else perm[obj.bottom],
                       None if obj.top is None else perm[obj.top])
-        data += (bounds,)
-        if best is None or data < best:
-            best = data
-    return CanonicalForm(kind, best)
+        yield data + (bounds,)
+
+
+def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
+    """The least relabeling of the structure (see ``_relabelings``)."""
+    kind = "groupoid" if isinstance(obj, Groupoid) else "system"
+    return CanonicalForm(kind, min(_relabelings(obj)))

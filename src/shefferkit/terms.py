@@ -64,10 +64,13 @@ class Variable:
 
 @dataclass(frozen=True, eq=False)
 class Apply:
-    """``left|right``; equal and hashed by structure through ``_walk``."""
+    """``left|right``; equal, hashed and shown by structure through ``_walk``."""
 
     left: "Term"
     right: "Term"
+
+    def __repr__(self) -> str:
+        return f"parse_term({format_term(self)!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Apply):
@@ -311,6 +314,9 @@ class Law:
     def __post_init__(self) -> None:
         if len(self.variables) > MAX_LAW_VARIABLES:
             raise ValueError(f"law uses more than {MAX_LAW_VARIABLES} variables")
+
+    def __repr__(self) -> str:
+        return f"parse_law({format_law(self)!r})"
 
     @property
     def sides(self) -> tuple[Term, ...]:

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+import shefferkit.search as search
 from conftest import groupoids_naive
 from shefferkit import (
     BinaryRelation,
@@ -54,6 +56,12 @@ class TestSpecValidation:
             EnumerationSpec(0)
         with pytest.raises(ValueError):
             EnumerationSpec(6)
+
+    def test_limit_bounds(self):
+        # a negative limit used to drop models from the end of the list
+        with pytest.raises(ValueError, match="limit must be at least 0"):
+            EnumerationSpec(2, limit=-1)
+        assert run_enumeration(EnumerationSpec(2, limit=0)).groupoids == []
 
     def test_keys_resolve(self):
         spec = EnumerationSpec(2, require=("AX1",), forbid=("COMM",))
@@ -107,6 +115,35 @@ class TestShefferCounts:
 
     def test_size_five_commutative(self):
         assert count_models(spec_sheffer(5, commutative=True)) == 2080
+
+    @pytest.mark.slow
+    def test_size_five_classes(self):
+        # the orbits of these classes under the 120 relabelings hold the
+        # 3,617,108 labelled models
+        assert count_models(spec_sheffer(5, up_to_isomorphism=True)) == 30755
+
+
+class TestStreaming:
+    """Models are built and filtered one table at a time."""
+
+    def test_count_keeps_no_models(self):
+        # the buffered run peaked at 1183 KiB
+        tracemalloc.start()
+        try:
+            assert count_models(spec_sheffer(4)) == 5450
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_limit_stops_building_models(self, monkeypatch):
+        # the buffered run checked the forbidden law on all 5450 tables
+        first = run_enumeration(spec_sheffer(4, forbid=("COMM",))).groupoids[0]
+        calls = []
+        check = search.check_law
+        monkeypatch.setattr(search, "check_law", lambda g, law: calls.append(g) or check(g, law))
+        assert run_enumeration(spec_sheffer(4, forbid=("COMM",), limit=1)).groupoids == [first]
+        assert len(calls) <= 5
 
 
 # Every search over sizes 1..3 is compared with a filter over all tables.

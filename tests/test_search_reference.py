@@ -1,12 +1,16 @@
-"""Canonical forms and system enumeration against the code they replaced.
+"""Canonical forms, isomorphism classes and system enumeration against the
+code they replaced.
 
 ``ref_relabel_groupoid`` and ``ref_relabel_system`` are copies of the two
 earlier relabeling functions, and ``ref_canonical_form`` the earlier
-minimum over them.  ``ref_enumerate_drsi`` is the earlier nested filter,
-which tested directedness once per (relation, involution) pair.  They stay
-here as the reference that ``canonical_form`` and ``enumerate_drsi`` must
-agree with exactly: the same forms, so the same isomorphism partition, and
-the same systems in the same order.
+minimum over them.  ``ref_iso_representatives`` is the earlier seen-set
+pass, which kept the first model of each class in the sorted listing.
+``ref_enumerate_drsi`` is the earlier nested filter, which tested
+directedness once per (relation, involution) pair.  They stay here as the
+reference that ``canonical_form``, ``up_to_isomorphism`` and
+``enumerate_drsi`` must agree with exactly: the same forms, so the same
+isomorphism partition, the same representatives, and the same systems in
+the same order.
 """
 
 import itertools
@@ -22,6 +26,7 @@ from shefferkit import (
     RelationalSystem,
     canonical_form,
     check_involution,
+    count_models,
     enumerate_drsi,
     is_directed,
     run_enumeration,
@@ -70,6 +75,17 @@ def ref_canonical_form(obj):
     relabel = ref_relabel_groupoid if isinstance(obj, Groupoid) else ref_relabel_system
     n = obj.carrier.size
     return min(relabel(obj, perm) for perm in itertools.permutations(range(n)))
+
+
+def ref_iso_representatives(groupoids):
+    seen = set()
+    kept = []
+    for g in groupoids:
+        form = canonical_form(g)
+        if form.data not in seen:
+            seen.add(form.data)
+            kept.append(g)
+    return kept
 
 
 def ref_enumerate_drsi(n):
@@ -124,6 +140,53 @@ class TestCanonicalFormReference:
                           for n, systems in drsi_by_size.items() for s in systems
                           for involution in (s.involution, None)
                           for bottom, top in bound_choices(n))
+
+
+IDENTITIES = ("COMM", "SYM7", "TRANS8", "CD3", "CD9", "ANTISYM")
+SHEFFER_LAW_SETS = [("AX1", "AX2")] + [("AX1", "AX2", key) for key in IDENTITIES]
+
+
+def iso_specs(n):
+    """Keyword sets of the specs whose classes are compared at size n."""
+    if n == 4:
+        for laws in SHEFFER_LAW_SETS:
+            for commutative in (False, True):
+                yield dict(size=n, require=laws, commutative=commutative)
+        return
+    for laws in [("AX1",), ("AX2",)] + SHEFFER_LAW_SETS:
+        banned = "SYM7" if "COMM" in laws else "COMM"
+        for commutative in (False, True):
+            for forbid in ((), (banned,)):
+                yield dict(size=n, require=laws, forbid=forbid, commutative=commutative)
+    for key in ("BOUND0", "BOUND1", "COMPL"):
+        for commutative in (False, True):
+            yield dict(size=n, require=("AX1", "AX2", key), with_bounds=True,
+                       commutative=commutative)
+            yield dict(size=n, require=("AX1", "AX2"), forbid=(key,), with_bounds=True,
+                       commutative=commutative)
+
+
+class TestIsomorphismClassesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_least_members_are_the_first_of_each_class(self, n):
+        for kw in iso_specs(n):
+            want = ref_iso_representatives(run_enumeration(EnumerationSpec(**kw)).groupoids)
+            spec = EnumerationSpec(**kw, up_to_isomorphism=True)
+            assert run_enumeration(spec).groupoids == want, kw
+            assert count_models(spec) == len(want), kw
+            limited = EnumerationSpec(**kw, up_to_isomorphism=True, limit=2)
+            assert run_enumeration(limited).groupoids == want[:2], kw
+
+    def test_orbit_counting_on_size_four(self):
+        # the orbits of the 270 classes under the 24 relabelings hold the
+        # 5450 labelled models, each once
+        classes = run_enumeration(EnumerationSpec(4, ("AX1", "AX2"), up_to_isomorphism=True))
+        perms = list(itertools.permutations(range(4)))
+        orbits = 0
+        for g in classes.groupoids:
+            own = ref_relabel_groupoid(g, perms[0])
+            orbits += len(perms) // sum(ref_relabel_groupoid(g, p) == own for p in perms)
+        assert (len(classes.groupoids), orbits) == (270, 5450)
 
 
 class TestDrsiEnumerationReference:

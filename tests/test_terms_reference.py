@@ -158,9 +158,11 @@ def test_format_matches_reference(t):
 def test_equal_prime_towers_print_in_linear_time():
     # the tree printer compared the two towers as trees: 2.0 s at 22 primes,
     # doubling with each prime
-    tower = "x" + "'" * 40
+    tower = "x" + "'" * 24
     law = parse_law(f"({tower})|({tower}) = x")
-    assert format_law(law) == "x" + "'" * 41 + " = x"
+    start = time.perf_counter()
+    assert format_law(law) == "x" + "'" * 25 + " = x"
+    assert time.perf_counter() - start < 0.01
 
 
 CHAIN = "|".join(["x"] * 5000)
@@ -182,6 +184,19 @@ def test_printed_long_chain_reparses():
     code, out, err = run_cli(["check", "law", "-e", CHAIN_TEXT + " = x", "tests/data/nand.grp"])
     assert code in (0, 1), err
     assert out.splitlines()[0] == f"law: {CHAIN_TEXT} = x"
+
+
+def test_repr_reads_the_linear_walk():
+    # the generated repr expanded a tower as a tree, doubling with each
+    # prime (9.96 MB at 18 primes), and recursed on the long chain
+    tower = parse_law("x" + "'" * 20 + " = x")
+    start = time.perf_counter()
+    assert repr(tower) == "parse_law(\"x" + "'" * 20 + " = x\")"
+    assert time.perf_counter() - start < 0.01
+    assert eval(repr(tower), {"parse_law": parse_law}) == tower
+    chain = parse_term(CHAIN)
+    assert repr(chain) == f"parse_term({CHAIN_TEXT!r})"
+    assert repr(Law((), (chain, Variable("x")))) == f"parse_law({CHAIN_TEXT + ' = x'!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +234,11 @@ def test_equality_matches_reference(s, t):
 def test_prime_tower_hashes_and_compares_in_linear_time():
     # the generated methods compared and hashed the tower as a tree:
     # 0.5 s at 20 primes, doubling with each prime
-    text = "x" + "'" * 40 + " = x"
+    text = "x" + "'" * 24 + " = x"
     a, b = parse_law(text), parse_law(text)
     start = time.perf_counter()
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != parse_law("x" + "'" * 39 + " = x")
+    assert a != parse_law("x" + "'" * 23 + " = x")
     assert time.perf_counter() - start < 0.01
 
 
