@@ -321,15 +321,17 @@ def is_directed(sys: RelationalSystem) -> Verdict:
     """Every pair needs a common upper and a common lower bound.
 
     For systems with an antitone involution one cone condition implies the
-    other; both are still scanned here rather than optimized away.
+    other; both are still scanned here rather than optimized away.  Cones
+    are symmetric in their arguments, so the first failing pair in
+    row-major order has a <= b and only those pairs are scanned.
     """
-    rel = sys.relation
+    rows, cols = sys.relation.rows, sys.relation._columns
     n = sys.carrier.size
     for a in range(n):
-        for b in range(n):
-            if not rel.upper_mask(a, b):
+        for b in range(a, n):
+            if not rows[a] & rows[b]:
                 return Verdict(False, (a, b), "upper cone empty")
-            if not rel.lower_mask(a, b):
+            if not cols[a] & cols[b]:
                 return Verdict(False, (a, b), "lower cone empty")
     return Verdict(True)
 
@@ -338,13 +340,19 @@ def check_involution(sys: RelationalSystem, u: ElementMap) -> Verdict:
     """u must have period two and reverse the relation."""
     if u.domain != sys.carrier or u.codomain != sys.carrier:
         raise ValueError("map is not a self-map of the system carrier")
-    for x in range(sys.carrier.size):
-        if u(u(x)) != x:
+    image = u.image
+    for x, y in enumerate(image):
+        if image[y] != x:
             return Verdict(False, (x,), "not of period two")
-    rel = sys.relation
-    for x, y in rel.pairs():
-        if not rel.has(u(y), u(x)):
-            return Verdict(False, (x, y), "not antitone")
+    # x R y needs u(y) R u(x): y must lie in the u-image of column u(x)
+    rows, cols = sys.relation.rows, sys.relation._columns
+    for x, ux in enumerate(image):
+        allowed = 0
+        for z in bits_of(cols[ux]):
+            allowed |= 1 << image[z]
+        bad = rows[x] & ~allowed
+        if bad:
+            return Verdict(False, (x, (bad & -bad).bit_length() - 1), "not antitone")
     return Verdict(True)
 
 

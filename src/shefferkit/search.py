@@ -257,11 +257,14 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
     the required laws with constants filter, and under ``up_to_isomorphism``
     only the least member of each isomorphism class is kept (Read's orderly
     generation); the model set is closed under relabeling, so that member is
-    the first of its class in the sorted listing.  Rows share equal tuples."""
+    the first of its class in the sorted listing.  Rows share equal tuples,
+    and the cells lie in the carrier by construction, so the groupoids are
+    built unvalidated."""
     n = spec.size
     carrier = Carrier.of_size(n)
     const_require = [law for law in spec.require if law.constants]
     bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
+    others = list(itertools.permutations(range(n)))[1:]
     rows_of: dict[bytes, tuple[int, ...]] = {}
     for flat in tables:
         rows = []
@@ -272,14 +275,14 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
                 row = rows_of[chunk] = tuple(chunk)
             rows.append(row)
         for bottom, top in bounds:
-            g = Groupoid(carrier, tuple(rows), bottom, top)
+            g = Groupoid._unchecked(carrier, tuple(rows), bottom, top)
             if any(check_law(g, law).holds for law in spec.forbid) or \
                     not all(check_law(g, law).holds for law in const_require):
                 continue
             if spec.up_to_isomorphism:
-                relabelings = _relabelings(g)
-                own = next(relabelings)
-                if any(data < own for data in relabelings):
+                parts = _parts(g)[1]
+                own = _relabeled(parts, range(n))
+                if any(_relabeled(parts, inv, own) is not None for inv in others):
                     continue
             yield g
 
@@ -353,20 +356,19 @@ def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:
         raise ValueError(f"system enumeration size must be in 1..{MAX_DRSI_SIZE}")
     carrier = Carrier.of_size(n)
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    involutions = list(_involutions(n))
+    involutions = [ElementMap(carrier, carrier, image) for image in _involutions(n)]
     for mask in range(1 << len(off_diag)):
         rows = [1 << i for i in range(n)]
         for k, (i, j) in enumerate(off_diag):
             if mask >> k & 1:
                 rows[i] |= 1 << j
         relation = BinaryRelation(carrier, tuple(rows))
-        if not is_directed(RelationalSystem(carrier, relation)).holds:
+        bare = RelationalSystem(carrier, relation)
+        if not is_directed(bare).holds:
             continue
-        for image in involutions:
-            u = ElementMap(carrier, carrier, image)
-            sys = RelationalSystem(carrier, relation, u)
-            if check_involution(sys, u).holds:
-                yield sys
+        for u in involutions:
+            if check_involution(bare, u).holds:
+                yield RelationalSystem(carrier, relation, u)
 
 
 @dataclass(frozen=True)
@@ -377,43 +379,129 @@ class CanonicalForm:
     data: tuple
 
 
-def _relabelings(obj: Union[Groupoid, RelationalSystem]) -> Iterator[tuple]:
-    """The data of ``obj`` relabeled by every carrier permutation, the
-    identity first.
-
-    Relabeling by ``perm`` reads the cells in row-major order through the
-    inverse permutation.  A groupoid's cell values are elements and are
-    mapped; relation bits are not.  The involution and the bounds are mapped.
-    The data is ``(cells, bounds)`` for a groupoid and ``(cells, involution,
-    bounds)`` for a system, with ``None`` for what the structure lacks.
-    """
+def _parts(obj: Union[Groupoid, RelationalSystem]) -> tuple[str, tuple]:
+    """The kind of ``obj`` and what ``_relabeled`` reads of it: the cell rows,
+    whether cell values are elements, the involution image and the bounds."""
     if isinstance(obj, Groupoid):
-        rows, involution, values = obj.table, None, True
+        kind, rows, values, involution = "groupoid", obj.table, True, None
     elif isinstance(obj, RelationalSystem):
-        rows, involution, values = obj.relation.matrix(), obj.involution, False
+        kind, rows, values = "system", obj.relation.matrix(), False
+        involution = None if obj.involution is None else obj.involution.image
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
-    n = obj.carrier.size
-    bounded = obj.bottom is not None or obj.top is not None
-    # the inverses of all permutations are all permutations, so the loop
-    # draws the inverse and derives the relabeling from it
-    for inv in itertools.permutations(range(n)):
-        perm = [0] * n
-        for a, i in enumerate(inv):
-            perm[i] = a
-        if values:
-            data: tuple = (tuple([perm[rows[i][j]] for i in inv for j in inv]),)
-        else:
-            data = (tuple([rows[i][j] for i in inv for j in inv]),
-                    None if involution is None else tuple([perm[involution(i)] for i in inv]))
-        bounds = None
-        if bounded:
-            bounds = (None if obj.bottom is None else perm[obj.bottom],
-                      None if obj.top is None else perm[obj.top])
-        yield data + (bounds,)
+    bounds = None if obj.bottom is None and obj.top is None else (obj.bottom, obj.top)
+    return kind, (rows, values, involution, bounds)
+
+
+def _relabeled(parts: tuple, inv: Sequence[int], below: Optional[tuple] = None) -> Optional[tuple]:
+    """The data of a structure relabeled by the inverse permutation ``inv``
+    (new label ``a`` is old element ``inv[a]``); with ``below``, None unless
+    that data is lexicographically less than ``below``.
+
+    The cells are read in row-major order through ``inv``.  A groupoid's
+    cell values are elements and are mapped; relation bits are not.  The
+    involution and the bounds are mapped.  The data is ``(cells, bounds)``
+    for a groupoid and ``(cells, involution, bounds)`` for a system, with
+    ``None`` for what the structure lacks.  Against ``below`` the rows are
+    compared as they are built, so a larger row stops the work.
+    """
+    rows, values, involution, bounds = parts
+    n = len(inv)
+    perm = [0] * n
+    for a, i in enumerate(inv):
+        perm[i] = a
+    cells: list[int] = []
+    settled = below is None
+    for a, i in enumerate(inv):
+        row = rows[i]
+        got = tuple([perm[row[j]] for j in inv] if values else [row[j] for j in inv])
+        if not settled:
+            want = below[0][a * n:a * n + n]
+            if got > want:
+                return None
+            settled = got < want
+        cells.extend(got)
+    data: tuple = (tuple(cells),)
+    if not values:
+        data += (None if involution is None else tuple([perm[involution[i]] for i in inv]),)
+    data += (None if bounds is None else tuple(None if b is None else perm[b] for b in bounds),)
+    return data if settled or data < below else None
 
 
 def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
-    """The least relabeling of the structure (see ``_relabelings``)."""
-    kind = "groupoid" if isinstance(obj, Groupoid) else "system"
-    return CanonicalForm(kind, min(_relabelings(obj)))
+    """The least relabeling of the structure (see ``_relabeled``), found by
+    branch and bound over the inverse permutation.
+
+    New labels are given to old elements one at a time.  Once k elements
+    are placed, the first k cells of relabeled row 0 have known sources: a
+    relation bit is known, and a groupoid cell is known when its value is
+    placed and is at least k otherwise.  A branch stops when that prefix is
+    provably above the least data found so far, which starts as the
+    structure's own.  A complete permutation is compared row by row.
+    Elements whose swap is an automorphism (twins) give equal subtrees, so
+    each label tries one element of each twin class.  Candidates likely to
+    make row 0 small are tried first, which changes only the speed: for
+    label 0 the elements with ``a|a = a``, or those related to the fewest
+    elements; for a later label of a groupoid, the elements whose row-0
+    cell would be least.
+    """
+    kind, parts = _parts(obj)
+    rows, values = parts[0], parts[1]
+    n = len(rows)
+    best = _relabeled(parts, range(n))
+    # twin[x]: the least element whose swap with x is an automorphism
+    twin = list(range(n))
+    for x in range(n):
+        for y in range(x):
+            if twin[y] == y:
+                swap = list(range(n))
+                swap[x], swap[y] = y, x
+                if _relabeled(parts, swap) == best:
+                    twin[x] = y
+                    break
+    if values:
+        first = sorted(range(n), key=lambda x: rows[x][x] != x)
+    else:
+        first = sorted(range(n), key=lambda x: sum(rows[x]))
+    inv: list[int] = []
+    perm = [-1] * n
+
+    def above(k: int) -> bool:
+        """Row 0 of any completion of the k placed labels exceeds ``best``."""
+        top, want = rows[inv[0]], best[0]
+        for j in range(k):
+            v = top[inv[j]]
+            if values:
+                v = perm[v]
+                if v < 0:
+                    return k > want[j]
+            if v != want[j]:
+                return v > want[j]
+        return False
+
+    def place(k: int) -> None:
+        nonlocal best
+        if k == n:
+            data = _relabeled(parts, inv, best)
+            if data is not None:
+                best = data
+            return
+        order = first if k == 0 else range(n)
+        if k and values:
+            # the row-0 cell of x placed at label k, or its least value
+            top = rows[inv[0]]
+            order = sorted(order, key=lambda x: perm[top[x]] if perm[top[x]] >= 0
+                           else k + (top[x] != x))
+        tried = set()
+        for x in order:
+            if perm[x] < 0 and twin[x] not in tried:
+                tried.add(twin[x])
+                perm[x] = k
+                inv.append(x)
+                if not above(k + 1):
+                    place(k + 1)
+                inv.pop()
+                perm[x] = -1
+
+    place(0)
+    return CanonicalForm(kind, best)

@@ -45,6 +45,17 @@ class Groupoid:
             if bound is not None:
                 _check_index(self.carrier, bound)
 
+    @classmethod
+    def _unchecked(cls, carrier: Carrier, table: tuple[tuple[int, ...], ...],
+                   bottom: Optional[int] = None, top: Optional[int] = None) -> "Groupoid":
+        """A groupoid built without the checks of ``__post_init__``, for
+        callers whose table and bounds lie in the carrier by construction."""
+        g = object.__new__(cls)
+        fields = (("carrier", carrier), ("table", table), ("bottom", bottom), ("top", top))
+        for name, value in fields:
+            object.__setattr__(g, name, value)
+        return g
+
     @property
     def size(self) -> int:
         return self.carrier.size
