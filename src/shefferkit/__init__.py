@@ -32,7 +32,6 @@ from .morphisms import (
     verify_hom_transfer,
 )
 from .relcore import (
-    MAX_CARRIER,
     BinaryRelation,
     Carrier,
     DrsiReport,
@@ -102,7 +101,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # relcore
-    "MAX_CARRIER", "Carrier", "BinaryRelation", "ElementMap", "RelationalSystem",
+    "Carrier", "BinaryRelation", "ElementMap", "RelationalSystem",
     "Verdict", "PropertyReport", "DrsiReport", "upper_cone", "lower_cone",
     "relation_properties", "is_directed", "check_involution", "validate_drsi",
     "check_bounded", "check_complemented", "set_related",

@@ -1,8 +1,7 @@
 """Finite carriers, binary relations, cones, and relational-system checks.
 
 Relations are stored as bit rows, one Python int per row, so a cone is a
-single AND of two words.  That representation caps carriers at 64 elements,
-which is far beyond anything the exhaustive checks here can visit anyway.
+single AND of two rows, whatever the carrier size.
 All values are frozen; every operation returns a new object.
 """
 
@@ -13,10 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-MAX_CARRIER = 64
-
 __all__ = [
-    "MAX_CARRIER",
     "bits_of",
     "Carrier",
     "BinaryRelation",
@@ -53,8 +49,8 @@ class Carrier:
 
     def __post_init__(self) -> None:
         n = len(self.names)
-        if not 1 <= n <= MAX_CARRIER:
-            raise ValueError(f"carrier size must be in 1..{MAX_CARRIER}, got {n}")
+        if n < 1:
+            raise ValueError(f"carrier size must be at least 1, got {n}")
         for name in self.names:
             if not name or any(ch.isspace() for ch in name) or name.startswith("#"):
                 raise ValueError(f"bad element name {name!r}")
@@ -347,19 +343,16 @@ def check_involution(sys: RelationalSystem, u: ElementMap) -> Verdict:
     # x R y needs u(y) R u(x): y must lie in the u-image of column u(x)
     rows, cols = sys.relation.rows, sys.relation._columns
     for x, ux in enumerate(image):
-        allowed = 0
-        for z in bits_of(cols[ux]):
-            allowed |= 1 << image[z]
-        bad = rows[x] & ~allowed
+        bad = rows[x] & ~_image_mask(image, cols[ux])
         if bad:
             return Verdict(False, (x, (bad & -bad).bit_length() - 1), "not antitone")
     return Verdict(True)
 
 
-def _image_mask(u: ElementMap, mask: int) -> int:
+def _image_mask(image: tuple[int, ...], mask: int) -> int:
     out = 0
     for x in bits_of(mask):
-        out |= 1 << u(x)
+        out |= 1 << image[x]
     return out
 
 
@@ -375,6 +368,17 @@ def _defining_verdicts(sys: RelationalSystem) -> tuple[Verdict, Verdict, Verdict
     return reflexive, is_directed(sys), check_involution(sys, sys.involution)
 
 
+def _cone_duality(sys: RelationalSystem) -> Verdict:
+    """Every lower cone L(a, b) is the involution image of U(a', b')."""
+    rel = sys.relation
+    image = sys.involution.image
+    for a in range(sys.carrier.size):
+        for b in range(sys.carrier.size):
+            if rel.lower_mask(a, b) != _image_mask(image, rel.upper_mask(image[a], image[b])):
+                return Verdict(False, (a, b), "lower cone is not the primed upper cone")
+    return Verdict(True)
+
+
 def validate_drsi(sys: RelationalSystem) -> DrsiReport:
     """Check reflexivity, directedness, and the involution conditions.
 
@@ -383,20 +387,7 @@ def validate_drsi(sys: RelationalSystem) -> DrsiReport:
     three conditions and is recorded as an audit verdict.
     """
     reflexive, directed, involution = _defining_verdicts(sys)
-    n = sys.carrier.size
-    rel = sys.relation
-    u = sys.involution
-    cone_duality = Verdict(True)
-    for a in range(n):
-        for b in range(n):
-            expect = _image_mask(u, rel.upper_mask(u(a), u(b)))
-            if rel.lower_mask(a, b) != expect:
-                cone_duality = Verdict(False, (a, b), "lower cone is not the primed upper cone")
-                break
-        if not cone_duality.holds:
-            break
-
-    return DrsiReport(reflexive, directed, involution, cone_duality)
+    return DrsiReport(reflexive, directed, involution, _cone_duality(sys))
 
 
 def _require_drsi(sys: RelationalSystem) -> None:

@@ -11,13 +11,14 @@ of a quasi-identity whose premises hold) is known and the other side lacks
 only its outermost cell.  Forced cells join the same propagation queue;
 a trail undoes assignments and list moves on backtrack.
 The search branches only on the next unknown cell in diagonal-first order
-(the defining axioms pin x|x down fastest), then row-major.  Tables are
-yielded as found and filtered one at a time by ``_models``; a listing
-sorts them first, a count keeps none.
+(the defining axioms pin x|x down fastest), then row-major.  Below each
+complete diagonal the tables come in lexicographic order; the runs are
+merged into one sorted stream, which ``_models`` filters one table at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -136,8 +137,8 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
 
 def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[bytes]:
     """Yield each complete table satisfying the constant-free required laws
-    in search order, adding branching nodes and cells forced by propagation
-    to ``result``.
+    in lexicographic order, adding branching nodes and cells forced by
+    propagation to ``result``.
 
     Cells are flat indices ``i * n + j``; ``table`` holds -1 where unknown.
     Each undecided instance sits on the watch list of one unknown cell that
@@ -145,110 +146,117 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
     instance is decided, moves to the list of its next blocking cell, or
     forces its one missing cell.  ``trail`` records each assignment as the
     cell and each watch-list append as ``~cell``, so backtracking pops it.
+
+    Each complete diagonal starts a run on its own copy of ``table`` and
+    the watch lists.  A run branches on the later cells in row-major order,
+    every earlier cell known, so it yields sorted tables; the runs are merged.
     """
     n = spec.size
     size = n * n
     order = [i * n + j for i, j in _cell_order(n)]
     mirror = [(c % n) * n + c // n if spec.commutative else c for c in range(size)]
-    table = [-1] * size
-    watch: list[list[tuple]] = [[] for _ in range(size)]
-    trail: list[int] = []
 
-    def side(code) -> int:
-        """Value of a side; else ~cell when only its outermost cell is
-        unknown, else ~cell - size for the first unknown inner cell."""
-        if code.__class__ is int:
-            return code
-        vals: list[int] = []
-        for a, b in code:
-            if a < 0:
-                a = vals[~a]
-            if b < 0:
-                b = vals[~b]
-            cell = a * n + b
-            v = table[cell]
-            if v < 0:
-                return ~cell if len(vals) == len(code) - 1 else ~cell - size
-            vals.append(v)
-        return vals[-1]
+    def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool) -> Iterator:
+        """Examine ``instances``, then yield a run per complete diagonal or each complete table."""
+        trail: list[int] = []
 
-    def blocker(value: int) -> int:
-        return ~value if value >= -size else ~(value + size)
+        def side(code) -> int:
+            """Value of a side; else ~cell when only its outermost cell is
+            unknown, else ~cell - size for the first unknown inner cell."""
+            if code.__class__ is int:
+                return code
+            vals: list[int] = []
+            for a, b in code:
+                if a < 0:
+                    a = vals[~a]
+                if b < 0:
+                    b = vals[~b]
+                cell = a * n + b
+                v = table[cell]
+                if v < 0:
+                    return ~cell if len(vals) == len(code) - 1 else ~cell - size
+                vals.append(v)
+            return vals[-1]
 
-    def assign(cell: int, value: int, queue: list[int]) -> None:
-        table[cell] = value
-        trail.append(cell)
-        queue.append(cell)
-        other = mirror[cell]
-        if other != cell:
-            table[other] = value
-            trail.append(other)
-            queue.append(other)
+        def blocker(value: int) -> int:
+            return ~value if value >= -size else ~(value + size)
 
-    def examine(inst, queue: list[int]) -> bool:
-        """Settle or re-file one instance; False on a violation."""
-        for l, r in inst[0]:
-            lv, rv = side(l), side(r)
+        def assign(cell: int, value: int, queue: list[int]) -> None:
+            table[cell] = value
+            trail.append(cell)
+            queue.append(cell)
+            other = mirror[cell]
+            if other != cell:
+                table[other] = value
+                trail.append(other)
+                queue.append(other)
+
+        def examine(inst, queue: list[int]) -> bool:
+            """Settle or re-file one instance; False on a violation."""
+            for l, r in inst[0]:
+                lv, rv = side(l), side(r)
+                if lv >= 0 and rv >= 0:
+                    if lv != rv:
+                        return True
+                    continue
+                cell = blocker(lv if lv < 0 else rv)
+                watch[cell].append(inst)
+                trail.append(~cell)
+                return True
+            lv, rv = side(inst[1][0]), side(inst[1][1])
             if lv >= 0 and rv >= 0:
-                if lv != rv:
-                    return True
-                continue
-            cell = blocker(lv if lv < 0 else rv)
-            watch[cell].append(inst)
-            trail.append(~cell)
-            return True
-        lv, rv = side(inst[1][0]), side(inst[1][1])
-        if lv >= 0 and rv >= 0:
-            return lv == rv
-        if lv >= 0 and rv >= -size:
-            assign(~rv, lv, queue)
-            result.forced += 1
-        elif rv >= 0 and lv >= -size:
-            assign(~lv, rv, queue)
-            result.forced += 1
-        else:
-            # watch an inner blocking cell in preference to an outermost one,
-            # so the instance is looked at again as soon as it can force
-            cell = blocker(lv if lv < -size or (lv < 0 and rv >= -size) else rv)
-            watch[cell].append(inst)
-            trail.append(~cell)
-        return True
-
-    def propagate(queue: list[int]) -> bool:
-        while queue:
-            for inst in watch[queue.pop()]:
-                if not examine(inst, queue):
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry >= 0:
-                table[entry] = -1
+                return lv == rv
+            if lv >= 0 and rv >= -size:
+                assign(~rv, lv, queue)
+                result.forced += 1
+            elif rv >= 0 and lv >= -size:
+                assign(~lv, rv, queue)
+                result.forced += 1
             else:
-                watch[~entry].pop()
+                # watch an inner blocking cell in preference to an outermost
+                # one, so the instance is looked at again as soon as it can force
+                cell = blocker(lv if lv < -size or (lv < 0 and rv >= -size) else rv)
+                watch[cell].append(inst)
+                trail.append(~cell)
+            return True
 
-    def rec(pos: int) -> Iterator[bytes]:
-        while pos < size and table[order[pos]] >= 0:
-            pos += 1
-        if pos == size:
-            yield bytes(table)
-            return
-        cell = order[pos]
-        for v in range(n):
-            result.nodes += 1
-            mark = len(trail)
-            queue: list[int] = []
-            assign(cell, v, queue)
-            if propagate(queue):
-                yield from rec(pos + 1)
-            undo(mark)
+        def propagate(queue: list[int]) -> bool:
+            while queue:
+                for inst in watch[queue.pop()]:
+                    if not examine(inst, queue):
+                        return False
+            return True
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                entry = trail.pop()
+                if entry >= 0:
+                    table[entry] = -1
+                else:
+                    watch[~entry].pop()
+
+        def rec(pos: int) -> Iterator:
+            while pos < size and table[order[pos]] >= 0:
+                pos += 1
+            if pos >= (n if diagonal else size):
+                yield search(table[:], [w[:] for w in watch], (), False) if diagonal else bytes(table)
+                return
+            cell = order[pos]
+            for v in range(n):
+                result.nodes += 1
+                mark = len(trail)
+                queue: list[int] = []
+                assign(cell, v, queue)
+                if propagate(queue):
+                    yield from rec(pos + 1)
+                undo(mark)
+
+        queue: list[int] = []
+        if all(examine(inst, queue) for inst in instances) and propagate(queue):
+            yield from rec(0)
 
     prunable = [law for law in spec.require if not law.constants]
-    queue: list[int] = []
-    if all(examine(inst, queue) for inst in _ground(prunable, n)) and propagate(queue):
-        yield from rec(0)
+    yield from heapq.merge(*search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True))
 
 
 def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid]:
@@ -291,15 +299,14 @@ def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     """The models of the spec in lexicographic order, at most ``spec.limit``."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    tables = sorted(_search_tables(spec, result))
-    result.groupoids = list(itertools.islice(_models(spec, tables), spec.limit))
+    result.groupoids = list(itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit))
     result.count = len(result.groupoids)
     result.seconds = time.perf_counter() - start
     return result
 
 
 def _count_run(spec: EnumerationSpec) -> EnumerationResult:
-    """Count at most ``spec.limit`` models in search order, keeping none."""
+    """Count the first ``spec.limit`` models of the listing, keeping none."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
     models = _models(spec, _search_tables(spec, result))

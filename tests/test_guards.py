@@ -102,7 +102,7 @@ class TestDrsiGuard:
         def audit(*args):
             raise AssertionError("the guard computed the cone-duality audit")
 
-        monkeypatch.setattr(relcore, "_image_mask", audit)
+        monkeypatch.setattr(relcore, "_cone_duality", audit)
         assert assignment_space(ex1_system).count >= 1
 
 

@@ -43,9 +43,11 @@ class TestCarrier:
         with pytest.raises(ValueError):
             Carrier(bad)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            Carrier.of_size(65)
+    def test_no_upper_size_cap(self):
+        # bit rows are Python ints, so no carrier is too wide for them
+        assert Carrier.of_size(65).size == 65
+        with pytest.raises(ValueError, match="at least 1"):
+            Carrier.of_size(0)
 
 
 class TestBinaryRelation:

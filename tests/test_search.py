@@ -145,6 +145,25 @@ class TestStreaming:
         assert run_enumeration(spec_sheffer(4, forbid=("COMM",), limit=1)).groupoids == [first]
         assert len(calls) <= 5
 
+    def test_limit_stops_the_search(self):
+        # sorting the whole run first cost all 20,268 nodes
+        limited = spec_sheffer(4, limit=1)
+        listed = run_enumeration(limited)
+        assert listed.nodes < 2027
+        counted = search._count_run(limited)
+        assert (counted.count, counted.nodes, counted.forced) == \
+            (listed.count, listed.nodes, listed.forced)
+
+    def test_iso_listing_holds_no_tables(self):
+        # sorting the whole run first peaked at 395 KiB
+        tracemalloc.start()
+        try:
+            assert len(run_enumeration(spec_sheffer(4, up_to_isomorphism=True)).groupoids) == 270
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 # Every search over sizes 1..3 is compared with a filter over all tables.
 CATALOG_IDENTITIES = ("COMM", "SYM7", "TRANS8", "CD3", "CD9", "ANTISYM")
@@ -191,8 +210,11 @@ class TestAgainstBruteForce:
 
 class TestOrderingAndLimits:
     def test_lexicographic_stream(self):
-        tables = [g.table for g in run_enumeration(spec_sheffer(3)).groupoids]
-        assert tables == sorted(tables)
+        # at n = 4 the runs of several diagonals are merged
+        for n, commutative in ((3, False), (4, False), (4, True)):
+            spec = spec_sheffer(n, commutative=commutative)
+            tables = [g.table for g in run_enumeration(spec).groupoids]
+            assert tables == sorted(tables), (n, commutative)
 
     def test_limit(self):
         spec = spec_sheffer(3, limit=5)

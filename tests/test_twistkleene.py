@@ -9,6 +9,7 @@ from shefferkit import (
     BinaryRelation,
     Carrier,
     ElementMap,
+    Groupoid,
     PairIndexing,
     RelationalSystem,
     Verdict,
@@ -106,8 +107,17 @@ class TestTwistSheffer:
         assert is_sheffer(g).holds
         assert induce_system(g) == twist_product(induce_system(nand))
 
+    def test_double_twist_beyond_machine_words(self):
+        # 81 elements: relation rows wider than 64 bits
+        g = Groupoid(Carrier.of_size(3), ((0, 0, 1), (0, 2, 1), (1, 1, 1)))
+        twice = twist_sheffer(twist_sheffer(g))
+        assert twice.size == 81
+        assert is_sheffer(twice).holds
+        assert validate_drsi(induce_system(twice)).passed
+        assert induce_system(twice).relation == \
+            twist_product(induce_system(twist_sheffer(g))).relation
+
     def test_rejects_non_sheffer(self, c2):
-        from shefferkit import Groupoid
         with pytest.raises(ValueError):
             twist_sheffer(Groupoid(c2, ((0, 0), (1, 1))))
 
