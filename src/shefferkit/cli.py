@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
+import time
 from typing import Optional
 
 from .bridge import (
@@ -52,7 +53,7 @@ from .relcore import (
     relation_properties,
     validate_drsi,
 )
-from .search import EnumerationSpec, _count_run, find_model, run_enumeration
+from .search import EnumerationResult, EnumerationSpec, _count_run, _listing, find_model
 from .sheffer import CATALOG, Groupoid, check_named, get_law, is_sheffer
 from .terms import LawVerdict, check_law, format_law, parse_law
 from .twistkleene import is_kleene, kleene_subsystem, twist_product, twist_sheffer
@@ -484,7 +485,19 @@ def cmd_enumerate(args) -> int:
         up_to_isomorphism=args.iso,
         limit=args.limit,
     )
-    result = _count_run(spec) if args.count else run_enumeration(spec)
+    if args.count:
+        result = _count_run(spec)
+    else:
+        # each model is printed as the search yields it, so none is kept
+        start = time.perf_counter()
+        result = EnumerationResult([], 0, 0.0, 0, 0)
+        k = 0
+        for k, g in enumerate(_listing(spec, result), start=1):
+            if k > 1:
+                print()
+            print(f"# model {k}")
+            print(format_groupoid_file(g), end="")
+        result.count, result.seconds = k, time.perf_counter() - start
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")
@@ -492,12 +505,6 @@ def cmd_enumerate(args) -> int:
               f"forced: {result.forced}; seconds: {result.seconds:.3f}", file=_sys.stderr)
     if args.count:
         print(result.count)
-        return 0
-    for k, g in enumerate(result.groupoids, start=1):
-        if k > 1:
-            print()
-        print(f"# model {k}")
-        print(format_groupoid_file(g), end="")
     return 0
 
 

@@ -47,6 +47,7 @@ class EquivalenceRelation:
     block_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "block_ids", tuple(self.block_ids))
         if len(self.block_ids) != self.carrier.size:
             raise ValueError("block ids do not cover the carrier")
         top = 0

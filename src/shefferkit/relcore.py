@@ -48,6 +48,7 @@ class Carrier:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", tuple(self.names))
         n = len(self.names)
         if n < 1:
             raise ValueError(f"carrier size must be at least 1, got {n}")
@@ -85,6 +86,7 @@ class BinaryRelation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         n = self.carrier.size
         if len(self.rows) != n:
             raise ValueError(f"expected {n} rows, got {len(self.rows)}")
@@ -166,6 +168,7 @@ class ElementMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "image", tuple(self.image))
         if len(self.image) != self.domain.size:
             raise ValueError("image tuple does not cover the domain")
         for v in self.image:

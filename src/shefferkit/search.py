@@ -295,11 +295,17 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
             yield g
 
 
+def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
+    """The first ``spec.limit`` models of the listing, one at a time; the
+    search adds its branching nodes and forced cells to ``result``."""
+    return itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit)
+
+
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     """The models of the spec in lexicographic order, at most ``spec.limit``."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    result.groupoids = list(itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit))
+    result.groupoids = list(_listing(spec, result))
     result.count = len(result.groupoids)
     result.seconds = time.perf_counter() - start
     return result
@@ -309,8 +315,7 @@ def _count_run(spec: EnumerationSpec) -> EnumerationResult:
     """Count the first ``spec.limit`` models of the listing, keeping none."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    models = _models(spec, _search_tables(spec, result))
-    result.count = sum(1 for _ in itertools.islice(models, spec.limit))
+    result.count = sum(1 for _ in _listing(spec, result))
     result.seconds = time.perf_counter() - start
     return result
 

@@ -33,6 +33,9 @@ class Groupoid:
     top: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # rows are tuples, so equal tables compare and hash equal and the
+        # law checker can compare its vectors with rows
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         n = self.carrier.size
         if len(self.table) != n:
             raise ValueError(f"expected {n} table rows, got {len(self.table)}")

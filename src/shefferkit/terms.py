@@ -22,11 +22,11 @@ enclosing parentheses on an explicit stack, recurses on the Python stack.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from operator import getitem
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 MAX_LAW_VARIABLES = 6
 
@@ -304,6 +304,120 @@ def _compile(terms: Sequence[Term]) -> _Program:
     return _Program(tuple(names), tuple(consts), tuple(apps), tuple(remap[r] for r in roots))
 
 
+# The vector of an application that reads the last variable, over all n
+# values of that variable, by the shape of its operands: S a scalar, I the
+# last variable itself, V another vector, V' a vector applied to itself.
+_VECTORS = {
+    "SI": "table[v{a}]",
+    "IS": "columns[v{b}]",
+    "II": "diagonal",
+    "SV": "tuple(map(table[v{a}].__getitem__, v{b}))",
+    "VS": "tuple(map(columns[v{b}].__getitem__, v{a}))",
+    "V'": "tuple(map(diagonal.__getitem__, v{a}))",
+    "VV": "tuple(map(getitem, map(table.__getitem__, v{a}), v{b}))",
+}
+
+
+def _stage(prog: _Program) -> Callable:
+    """The check loop of a law's program, staged by level: ``run(g)``
+    returns the verdict of ``check_law``.
+
+    The level of a slot is the last variable it reads, -1 when it reads
+    none.  Each variable j < k-1 gets a loop, nested in order.  A scalar
+    application, or a premise with two scalar sides (a guard), sits in the
+    loop of its level: it is evaluated only when a variable it reads
+    changes, and a failing guard skips the rest of its loop's body.  Each
+    application of the last level is a tuple over all n values of the last
+    variable, built from a row, a column or the diagonal of the table.  One
+    comparison settles the conclusion at n assignments; only when it fails
+    are the positions scanned, in order, for one where every premise holds.
+    For TRANS8, ``x|((x|y)'|z)' = (x|y)'|z``, the loop is::
+
+        def run(g):
+            table = g.table
+            n = len(table)
+            diagonal = tuple(map(getitem, table, range(n)))
+            for v0 in range(n):
+                for v1 in range(n):
+                    v3 = table[v0][v1]
+                    v4 = table[v3][v3]
+                    v5 = table[v4]
+                    v6 = tuple(map(diagonal.__getitem__, v5))
+                    v7 = tuple(map(table[v0].__getitem__, v6))
+                    if v7 != v5:
+                        for i in range(n):
+                            if v7[i] != v5[i]:
+                                return failure(names, (v0, v1, i), v7[i], v5[i], n)
+            return LawVerdict(True, None, None, None, n ** 3)
+
+    A law without variables has one assignment, a scan of width 1.  The
+    loop is generated as text, rather than interpreted, so that no
+    dispatch per application costs more than the application on small
+    tables; the text names slots only, never the law's variables.
+    """
+    k = len(prog.names)
+    base = k + len(prog.consts)
+    level = list(range(k)) + [-1] * len(prog.consts)
+    for a, b in prog.apps:
+        level.append(max(level[a], level[b]))
+    vector = [k > 0 and lv == k - 1 for lv in level]
+    width = "n" if k else "1"
+    *equations, conclusion = zip(prog.roots[0::2], prog.roots[1::2])
+    guards = [(l, r) for l, r in equations if not (vector[l] or vector[r])]
+    compared = [conclusion] + [eq for eq in equations if eq not in guards]
+
+    holds = f"LawVerdict(True, None, None, None, n ** {k})"
+    body = []
+    pad = ""
+    for j in range(-1, max(k - 1, 0)):
+        if j >= 0:
+            body.append(f"{pad}for v{j} in range(n):")
+            pad += "    "
+        body += [f"{pad}v{d} = table[v{a}][v{b}]" for d, (a, b) in enumerate(prog.apps, start=base)
+                 if level[d] == j and not vector[d]]
+        body += [f"{pad}if v{l} != v{r}: {'continue' if j >= 0 else 'return ' + holds}"
+                 for l, r in guards if max(level[l], level[r]) == j]
+    shapes = set()
+    identity = any(k - 1 in eq for eq in compared)
+    for d, (a, b) in enumerate(prog.apps, start=base):
+        if vector[d]:
+            shape = "".join("I" if x == k - 1 else "V" if vector[x] else "S" for x in (a, b))
+            shape = "V'" if shape == "VV" and a == b else shape if shape in _VECTORS else "VV"
+            shapes.add(shape)
+            identity |= shape == "VV" and k - 1 in (a, b)
+            body.append(f"{pad}v{d} = {_VECTORS[shape].format(a=a, b=b)}")
+    (cl, cr), *held = compared
+    if vector[cl] != vector[cr]:
+        # a vector against a scalar: the scalar must fill all n places
+        differ = f"v{cl}.count(v{cr}) != n" if vector[cl] else f"v{cr}.count(v{cl}) != n"
+    else:
+        differ = f"v{cl} != v{cr}"
+    at = [f"v{x}[i]" if vector[x] else f"v{x}" for x in range(len(vector))]
+    fails = " and ".join([f"{at[cl]} != {at[cr]}"] + [f"{at[l]} == {at[r]}" for l, r in held])
+    values = [f"v{j}" for j in range(k - 1)] + ["i"] * (k > 0)
+    values = f"({', '.join(values)}{',' * (len(values) == 1)})"
+    body += [f"{pad}if {differ}:",
+             f"{pad}    for i in range({width}):",
+             f"{pad}        if {fails}:",
+             f"{pad}            return failure(names, {values}, {at[cl]}, {at[cr]}, n)",
+             f"return {holds}"]
+
+    head = ["def run(g):", "table = g.table", "n = len(table)"]
+    if shapes & {"IS", "VS"}:
+        head.append("columns = tuple(zip(*table))")
+    if shapes & {"II", "V'"}:
+        head.append("diagonal = tuple(map(getitem, table, range(n)))")
+    head += [f"v{k + c} = constant(g, {which!r})" for c, which in enumerate(prog.consts)]
+    if k and identity:
+        head.append(f"v{k - 1} = tuple(range(n))")
+    source = "\n    ".join(head + body) + "\n"
+    namespace = {"LawVerdict": LawVerdict, "constant": _constant_index, "failure": _failure,
+                 "getitem": getitem, "names": prog.names}
+    exec(compile(source, "<law check loop>", "exec"), namespace)
+    # popped, so that the loop and its globals form no reference cycle
+    return namespace.pop("run")
+
+
 @dataclass(frozen=True)
 class Law:
     """Zero or more premise equations and one conclusion equation."""
@@ -327,6 +441,14 @@ class Law:
     def _program(self) -> _Program:
         return _compile(self.sides)
 
+    @cached_property
+    def _kernel(self) -> Callable:
+        return _stage(self._program)
+
+    def __getstate__(self) -> dict:
+        # the generated check loop does not pickle; it is rebuilt on demand
+        return {key: value for key, value in self.__dict__.items() if key != "_kernel"}
+
     @property
     def variables(self) -> tuple[str, ...]:
         return self._program.names
@@ -341,7 +463,7 @@ class Law:
         return "identity" if not self.premises else "quasi-identity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LawVerdict:
     """Result of checking a law; counterexamples use the first violating assignment."""
 
@@ -351,6 +473,13 @@ class LawVerdict:
     rhs_value: Optional[int]
     checked: int
     name: str = ""
+
+    def __init__(self, holds: bool, counterexample: Optional[dict], lhs_value: Optional[int],
+                 rhs_value: Optional[int], checked: int, name: str = "") -> None:
+        # the generated frozen __init__ sets each field through
+        # object.__setattr__, which costs a quarter of a check on a small table
+        self.__dict__.update(holds=holds, counterexample=counterexample, lhs_value=lhs_value,
+                             rhs_value=rhs_value, checked=checked, name=name)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -362,6 +491,16 @@ def _constant_index(g, which: str) -> int:
         side = "0" if which == "bottom" else "1"
         raise ValueError(f"term uses constant '{side}' but the groupoid has no designated {which}")
     return value
+
+
+def _failure(names: tuple[str, ...], values: tuple[int, ...], lhs: int, rhs: int,
+             n: int) -> LawVerdict:
+    """The verdict of a law failing first at the assignment ``values``,
+    which is assignment number ``checked`` in lexicographic order."""
+    checked = 0
+    for v in values:
+        checked = checked * n + v
+    return LawVerdict(False, dict(zip(names, values)), lhs, rhs, checked + 1)
 
 
 def eval_term(g, term: Term, assignment: dict) -> int:
@@ -391,22 +530,6 @@ def check_law(g, law: Law) -> LawVerdict:
     ``checked`` counts inspected assignments (n**k when the law holds).
     Constants are resolved before the first assignment, so a law naming a
     bound the groupoid lacks raises ValueError even if no premise holds.
+    The assignments are visited n at a time, as rows of the table (``_stage``).
     """
-    prog = law._program
-    consts = [_constant_index(g, which) for which in prog.consts]
-    *premises, (cl, cr) = zip(prog.roots[0::2], prog.roots[1::2])
-    apps = prog.apps
-    table = g.table
-    checked = 0
-    for combo in itertools.product(range(g.carrier.size), repeat=len(prog.names)):
-        checked += 1
-        s = [*combo, *consts]
-        for a, b in apps:
-            s.append(table[s[a]][s[b]])
-        for l, r in premises:
-            if s[l] != s[r]:
-                break
-        else:
-            if s[cl] != s[cr]:
-                return LawVerdict(False, dict(zip(prog.names, combo)), s[cl], s[cr], checked)
-    return LawVerdict(True, None, None, None, checked)
+    return law._kernel(g)

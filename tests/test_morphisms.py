@@ -54,6 +54,12 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="cover"):
             EquivalenceRelation.from_blocks(car, [(0, 1)])
 
+    def test_list_ids_become_a_tuple(self):
+        car = Carrier.of_size(3)
+        eq = EquivalenceRelation(car, [0, 0, 1])
+        assert eq == EquivalenceRelation(car, (0, 0, 1))
+        assert hash(eq) == hash(EquivalenceRelation(car, (0, 0, 1)))
+
     def test_dense_id_order(self):
         car = Carrier.of_size(2)
         with pytest.raises(ValueError, match="first-occurrence"):

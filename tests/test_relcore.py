@@ -43,6 +43,10 @@ class TestCarrier:
         with pytest.raises(ValueError):
             Carrier(bad)
 
+    def test_list_names_become_a_tuple(self):
+        car = Carrier(["a", "b"])
+        assert car == Carrier(("a", "b")) and hash(car) == hash(Carrier(("a", "b")))
+
     def test_no_upper_size_cap(self):
         # bit rows are Python ints, so no carrier is too wide for them
         assert Carrier.of_size(65).size == 65
@@ -79,6 +83,22 @@ class TestBinaryRelation:
         car = Carrier.of_size(2)
         with pytest.raises(IndexError):
             BinaryRelation.from_pairs(car, [(0, 2)])
+
+    def test_list_rows_become_a_tuple(self):
+        car = Carrier.of_size(2)
+        rel = BinaryRelation(car, [0b11, 0b10])
+        assert rel.rows == (0b11, 0b10)
+        assert rel == BinaryRelation(car, (0b11, 0b10))
+        assert hash(rel) == hash(BinaryRelation(car, (0b11, 0b10)))
+
+
+class TestElementMap:
+    def test_list_image_becomes_a_tuple(self):
+        car = Carrier.of_size(3)
+        f = ElementMap(car, car, [2, 1, 0])
+        assert f.image == (2, 1, 0)
+        assert f == ElementMap(car, car, (2, 1, 0))
+        assert hash(f) == hash(ElementMap(car, car, (2, 1, 0)))
 
 
 class TestCones:

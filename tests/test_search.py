@@ -1,12 +1,15 @@
 """Model enumeration with pruning, checked against naive full scans."""
 
+import contextlib
 import itertools
+import os
 import random
 import tracemalloc
 
 import pytest
 
 import shefferkit.search as search
+from shefferkit import cli
 from conftest import groupoids_naive
 from shefferkit import (
     BinaryRelation,
@@ -134,6 +137,17 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_cli_listing_keeps_no_models(self):
+        # printing after run_enumeration had returned peaked at 1049 KiB
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(["enumerate", "-n", "4", "--require", "AX1,AX2"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 256 * 1024
 
     def test_limit_stops_building_models(self, monkeypatch):

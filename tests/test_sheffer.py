@@ -38,6 +38,12 @@ class TestGroupoid:
         with pytest.raises(IndexError):
             Groupoid(car, ((0, 2), (1, 0)))
 
+    def test_list_table_becomes_tuples(self, c2, nand):
+        g = Groupoid(c2, [[1, 1], [1, 0]])
+        assert g.table == ((1, 1), (1, 0))
+        assert g == nand and hash(g) == hash(nand)
+        assert check_law(g, get_law("COMM")) == check_law(nand, get_law("COMM"))
+
     def test_bounds_validation(self):
         car = Carrier.of_size(2)
         with pytest.raises(IndexError):

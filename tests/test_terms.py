@@ -4,6 +4,7 @@ Format/parse stability is exercised two ways: a fixed seeded corpus of
 10_000 random trees, and a hypothesis fuzzer over the same node shapes.
 """
 
+import pickle
 import random
 
 import pytest
@@ -286,6 +287,14 @@ class TestCheckLaw:
                     rhs = eval_term(g, law.conclusion[1], v.counterexample)
                     assert lhs == v.lhs_value and rhs == v.rhs_value
                     assert lhs != rhs
+
+    def test_checked_law_pickles(self, nand):
+        # the check loop cached on the law is generated code, which does
+        # not pickle; the law drops it and builds it again when needed
+        law = parse_law("x|y = y|x")
+        verdict = check_law(nand, law)
+        again = pickle.loads(pickle.dumps(law))
+        assert again == law and check_law(nand, again) == verdict
 
     def test_law_object_construction(self):
         law = Law((), (Variable("x"), Variable("x")))

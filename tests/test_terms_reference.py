@@ -2,20 +2,22 @@
 
 ``ref_fmt``, ``ref_compile`` and ``ref_run`` are copies of the earlier tree
 printer and two-mode instruction evaluator, ``ref_check_law`` is the
-earlier law checker built on them, and ``ref_equal`` is the field-by-field
-equality that ``Apply`` had.  They stay here as the reference that
-``format_term``, ``check_law`` and term equality must agree with, plus pins
-for the term shapes that made the earlier walkers exponential or recursive.
+earlier law checker built on them, one assignment at a time, and
+``ref_equal`` is the field-by-field equality that ``Apply`` had.  They stay
+here as the reference that ``format_term``, the staged ``check_law`` and
+term equality must agree with, plus pins for the term shapes that made the
+earlier walkers exponential or recursive.
 """
 
 import copy
+import functools
 import itertools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli
+from conftest import DATA, run_cli
 from shefferkit import (
     CATALOG,
     Apply,
@@ -25,13 +27,16 @@ from shefferkit import (
     LawVerdict,
     NamedConstant,
     Variable,
+    assign,
     check_law,
     format_law,
     format_term,
     get_law,
     parse_law,
     parse_term,
+    twist_sheffer,
 )
+from shefferkit.cli import parse_system_file
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +299,75 @@ def test_missing_bound_raises_even_when_no_premise_holds():
     assert ref_check_law(g, get_law("COMPL")).holds
     with pytest.raises(ValueError, match="no designated top"):
         check_law(g, get_law("COMPL"))
+
+
+# ---------------------------------------------------------------------------
+# the staged checker on random laws and tables
+
+
+TOP = (NamedConstant("top"),)
+
+
+@functools.lru_cache(maxsize=None)
+def _terms_over(leaves):
+    return st.recursive(st.sampled_from(leaves), _grow, max_leaves=8)
+
+
+@st.composite
+def law_cases(draw):
+    """A law of 0-4 variables, maybe with constants, and 0-2 premises, on a
+    table of 1-8 elements with random bounds, its rows tuples or lists.
+
+    Each premise reads all the variables or only the last one, and the
+    conclusion all of them or all but the last, so that every stage of the
+    checker meets scalar and vector sides; one conclusion in four has
+    equal sides, so that some checks run to the end."""
+    k = draw(st.integers(0, 4))
+    names = sorted(draw(st.lists(st.sampled_from("awxyz"), min_size=k, max_size=k, unique=True)))
+    constants = (NamedConstant("bottom"),) + TOP if draw(st.booleans()) else ()
+
+    def term(pool):
+        leaves = tuple(Variable(v) for v in pool) + (constants or (() if pool else TOP))
+        return draw(_terms_over(leaves))
+
+    premises = tuple((term(pool), term(pool)) for pool in
+                     draw(st.lists(st.sampled_from([names, names[-1:]]), max_size=2)))
+    pool = draw(st.sampled_from([names, names[:-1]]))
+    lhs = term(pool)
+    rhs = copy.deepcopy(lhs) if draw(st.integers(0, 3)) == 0 else term(pool)
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    rows = [cells[i:i + n] for i in range(0, n * n, n)]
+    if draw(st.booleans()):
+        rows = tuple(map(tuple, rows))
+    bottom, top = (None if b < 0 else b for b in draw(st.lists(st.integers(-1, n - 1),
+                                                                min_size=2, max_size=2)))
+    g = Groupoid(Carrier.of_size(n), rows, bottom, top)
+    return g, Law(premises, (lhs, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_cases())
+def test_check_law_matches_reference_on_random_laws(case):
+    _agree(*case)
+
+
+@pytest.fixture(scope="module")
+def twist64():
+    chain8 = parse_system_file((DATA / "chain8.sys").read_text(encoding="utf-8"))
+    g = twist_sheffer(assign(chain8))
+    assert g.size == 64
+    return g
+
+
+def test_trans8_on_a_64_element_twist_table(twist64):
+    assert check_law(twist64, get_law("TRANS8")) == LawVerdict(True, None, None, None, 262144)
+
+
+def test_late_failure_on_a_64_element_twist_table(twist64):
+    # the premise reads the last variable, the conclusion does not; the
+    # first counterexample lies in the ninth block of 4096 assignments
+    law = parse_law("y = z|x => x = (y|x)'")
+    verdict = check_law(twist64, law)
+    assert verdict == ref_check_law(twist64, law)
+    assert (verdict.counterexample, verdict.checked) == ({"x": 8, "y": 0, "z": 0}, 32769)
