@@ -17,6 +17,7 @@ from .relcore import (
     BinaryRelation,
     RelationalSystem,
     Verdict,
+    _involution_of,
     _require_drsi,
     bits_of,
     check_involution,
@@ -151,9 +152,7 @@ def assign(sys: RelationalSystem, policy: Optional[ChoicePolicy] = None) -> Grou
         row = []
         for y in range(n):
             cands = space.cells[x][y]
-            if len(cands) == 1:
-                row.append(cands[0])
-            elif policy.kind == "min":
+            if len(cands) == 1 or policy.kind == "min":
                 row.append(cands[0])
             elif policy.kind == "max":
                 row.append(cands[-1])
@@ -186,9 +185,7 @@ def is_assigned(sys: RelationalSystem, g: Groupoid) -> Verdict:
     """
     if sys.carrier != g.carrier:
         raise ValueError("carrier mismatch between system and groupoid")
-    if sys.involution is None:
-        raise ValueError("system has no involution")
-    u = sys.involution
+    u = _involution_of(sys)
     rel = sys.relation
     n = sys.carrier.size
     t = g.table

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-import time
 from typing import Optional
 
 from .bridge import (
@@ -53,7 +52,7 @@ from .relcore import (
     relation_properties,
     validate_drsi,
 )
-from .search import EnumerationResult, EnumerationSpec, _count_run, _listing, find_model
+from .search import EnumerationResult, EnumerationSpec, _listing, find_model
 from .sheffer import CATALOG, Groupoid, check_named, get_law, is_sheffer
 from .terms import LawVerdict, check_law, format_law, parse_law
 from .twistkleene import is_kleene, kleene_subsystem, twist_product, twist_sheffer
@@ -145,6 +144,9 @@ def _parse_trailers(reader: _Reader, carrier: Carrier):
         if keyword in seen:
             raise FileFormatError(lineno, f"duplicate '{keyword}' section")
         if keyword == "involution":
+            # the first line names the file's kind; checked before any name
+            if reader.lines[0][1][0] == "groupoid":
+                raise FileFormatError(lineno, "groupoid files take no involution section")
             if len(tokens) != carrier.size + 1:
                 raise FileFormatError(lineno, f"involution needs {carrier.size} names")
             image = tuple(_index_of(carrier, t, lineno) for t in tokens[1:])
@@ -203,9 +205,7 @@ def parse_groupoid_file(text: str) -> Groupoid:
         if len(tokens) != n:
             raise FileFormatError(lineno, f"table row must list {n} entries")
         table.append(tuple(_index_of(carrier, t, lineno) for t in tokens))
-    involution, bottom, top = _parse_trailers(reader, carrier)
-    if involution is not None:
-        raise FileFormatError(reader.last_line, "groupoid files take no involution section")
+    _, bottom, top = _parse_trailers(reader, carrier)
     return Groupoid(carrier, tuple(table), bottom, top)
 
 
@@ -428,14 +428,12 @@ def cmd_kleene_sub(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    if args.groupoid and args.strong:
-        raise ValueError("--strong applies to relational systems only")
-    if args.groupoid:
-        src = _load_groupoid(args.src)
-        dst = _load_groupoid(args.dst)
-    else:
-        src = _load_system(args.src)
-        dst = _load_system(args.dst)
+    load = _load_groupoid if args.groupoid else _load_system
+    src = load(args.src)
+    dst = load(args.dst)
+    # built before the --map branch, so its check of the modes covers that branch too
+    found = find_homomorphisms(src, dst, strong=args.strong,
+                               surjective=args.surjective, injective=args.injective)
     if args.map:
         f = parse_map_file(_read(args.map), src.carrier, dst.carrier)
         if args.groupoid:
@@ -445,8 +443,7 @@ def cmd_hom(args) -> int:
         print(_verdict_line("homomorphism", v, src.carrier))
         return 0 if v.holds else 1
     count = 0
-    for f in find_homomorphisms(src, dst, strong=args.strong,
-                                surjective=args.surjective, injective=args.injective):
+    for f in found:
         count += 1
         arrows = " ".join(f"{src.carrier.names[i]}->{dst.carrier.names[f(i)]}"
                           for i in range(src.carrier.size))
@@ -485,19 +482,14 @@ def cmd_enumerate(args) -> int:
         up_to_isomorphism=args.iso,
         limit=args.limit,
     )
-    if args.count:
-        result = _count_run(spec)
-    else:
-        # each model is printed as the search yields it, so none is kept
-        start = time.perf_counter()
-        result = EnumerationResult([], 0, 0.0, 0, 0)
-        k = 0
-        for k, g in enumerate(_listing(spec, result), start=1):
-            if k > 1:
+    result = EnumerationResult([], 0, 0.0, 0, 0)
+    # each model is printed as the search yields it, so none is kept
+    for g in _listing(spec, result):
+        if not args.count:
+            if result.count > 1:
                 print()
-            print(f"# model {k}")
+            print(f"# model {result.count}")
             print(format_groupoid_file(g), end="")
-        result.count, result.seconds = k, time.perf_counter() - start
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")

@@ -8,7 +8,7 @@ from typing import Iterator, Optional, Union
 
 from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, _require_drsi, check_bounded
 from .sheffer import Groupoid, derived_involution
-from .bridge import induce_system, is_assigned
+from .bridge import ChoicePolicy, assign, assignment_space, induce_system, is_assigned
 
 __all__ = [
     "HypothesisError",
@@ -135,7 +135,8 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
     Both arguments must be relational systems or both groupoids; the
     groupoid mode constrains the operation instead of the relation, and
     system pairs that both carry involutions get the compatibility
-    constraint as well.
+    constraint as well.  The modes are checked at the call, before the
+    search starts: ``strong`` with groupoids raises ValueError.
     """
     groupoid_mode = isinstance(src, Groupoid)
     if groupoid_mode != isinstance(dst, Groupoid):
@@ -187,7 +188,7 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
                 yield from extend(i + 1)
             used[v] -= 1
 
-    yield from extend(0)
+    return extend(0)
 
 
 def kernel(f: ElementMap) -> EquivalenceRelation:
@@ -263,13 +264,8 @@ def _require_bounded_drsi(sys: RelationalSystem) -> None:
 def bounded_top_assignment(sys: RelationalSystem) -> Groupoid:
     """The assignment that sends every free cell to the top element."""
     _require_bounded_drsi(sys)
-    u = sys.involution
-    rel = sys.relation
-    n = sys.carrier.size
-    table = tuple(
-        tuple(u(y) if rel.has(u(x), u(y)) else sys.top for y in range(n))
-        for x in range(n))
-    return Groupoid(sys.carrier, table, sys.bottom, sys.top)
+    free = assignment_space(sys).free_pairs
+    return assign(sys, ChoicePolicy.explicit({cell: sys.top for cell in free}))
 
 
 def verify_bounded_hom(sys_a: RelationalSystem, sys_b: RelationalSystem,

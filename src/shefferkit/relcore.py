@@ -66,10 +66,14 @@ class Carrier:
     def size(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise KeyError(f"unknown element name {name!r}") from None
 
 
@@ -359,16 +363,22 @@ def _image_mask(image: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _defining_verdicts(sys: RelationalSystem) -> tuple[Verdict, Verdict, Verdict]:
-    """The reflexive, directed and involution verdicts of a DRSI."""
+def _involution_of(sys: RelationalSystem) -> ElementMap:
+    """The involution guard: the system's involution, or ValueError."""
     if sys.involution is None:
         raise ValueError("system has no involution")
+    return sys.involution
+
+
+def _defining_verdicts(sys: RelationalSystem) -> tuple[Verdict, Verdict, Verdict]:
+    """The reflexive, directed and involution verdicts of a DRSI."""
+    u = _involution_of(sys)
     reflexive = Verdict(True)
     for x in range(sys.carrier.size):
         if not sys.relation.has(x, x):
             reflexive = Verdict(False, (x,), "missing loop")
             break
-    return reflexive, is_directed(sys), check_involution(sys, sys.involution)
+    return reflexive, is_directed(sys), check_involution(sys, u)
 
 
 def _cone_duality(sys: RelationalSystem) -> Verdict:
@@ -420,12 +430,10 @@ def check_complemented(sys: RelationalSystem) -> Verdict:
 
     The consequence L(x, x') = {bottom} is recomputed as a cross-check.
     """
-    if sys.involution is None:
-        raise ValueError("system has no involution")
+    u = _involution_of(sys)
     bounded = check_bounded(sys)
     if not bounded:
         return Verdict(False, bounded.witness, "not bounded: " + bounded.reason)
-    u = sys.involution
     if u(sys.bottom) != sys.top:
         return Verdict(False, (sys.bottom,), "bottom' is not top")
     rel = sys.relation

@@ -296,32 +296,26 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
 
 
 def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
-    """The first ``spec.limit`` models of the listing, one at a time; the
-    search adds its branching nodes and forced cells to ``result``."""
-    return itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit)
+    """The first ``spec.limit`` models of the listing, one at a time.  The
+    search adds its branching nodes and forced cells to ``result``, each
+    model adds one to ``result.count``, and the end of the stream sets
+    ``result.seconds``."""
+    start = time.perf_counter()
+    for g in itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit):
+        result.count += 1
+        yield g
+    result.seconds = time.perf_counter() - start
 
 
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     """The models of the spec in lexicographic order, at most ``spec.limit``."""
-    start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
     result.groupoids = list(_listing(spec, result))
-    result.count = len(result.groupoids)
-    result.seconds = time.perf_counter() - start
-    return result
-
-
-def _count_run(spec: EnumerationSpec) -> EnumerationResult:
-    """Count the first ``spec.limit`` models of the listing, keeping none."""
-    start = time.perf_counter()
-    result = EnumerationResult([], 0, 0.0, 0, 0)
-    result.count = sum(1 for _ in _listing(spec, result))
-    result.seconds = time.perf_counter() - start
     return result
 
 
 def count_models(spec: EnumerationSpec) -> int:
-    return _count_run(spec).count
+    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0)))
 
 
 def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[Groupoid]:
@@ -336,25 +330,7 @@ def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[G
 
 def _involutions(n: int) -> Iterator[tuple[int, ...]]:
     """Period-two self-maps of range(n), lexicographic by image tuple."""
-    image: list[Optional[int]] = [None] * n
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        i = next((k for k in range(start, n) if image[k] is None), None)
-        if i is None:
-            yield tuple(image)  # type: ignore[arg-type]
-            return
-        image[i] = i
-        yield from rec(i + 1)
-        image[i] = None
-        for j in range(i + 1, n):
-            if image[j] is None:
-                image[i] = j
-                image[j] = i
-                yield from rec(i + 1)
-                image[i] = None
-                image[j] = None
-
-    yield from rec(0)
+    return (p for p in itertools.permutations(range(n)) if all(p[p[i]] == i for i in range(n)))
 
 
 def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:

@@ -20,6 +20,7 @@ from .relcore import (
     RelationalSystem,
     Verdict,
     _check_index,
+    _involution_of,
     bits_of,
     is_directed,
     validate_drsi,
@@ -146,8 +147,7 @@ def is_kleene(sys: RelationalSystem) -> Verdict:
     Witness layout on failure: (x, y, z, w) with z in L(x,x'), w in
     U(y,y') and (z, w) unrelated.
     """
-    if sys.involution is None:
-        raise ValueError("system has no involution")
+    _involution_of(sys)
     return _cone_check(sys, range(sys.carrier.size), "L(x, x') not wholly below U(y, y')")
 
 

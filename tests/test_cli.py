@@ -27,6 +27,8 @@ ERROR_CASES = [
     (["enumerate", "-n", "2", "--require", "NOPE"], "unknown law key"),
     (["enumerate", "-n", "2", "--require", "AX1,AX2", "--limit", "-1", "--count"],
      "limit must be at least 0"),
+    (["hom", "--groupoid", "--strong", "tests/data/ex1.grp", "tests/data/ex1.grp"],
+     "applies to relational systems only"),
 ]
 
 
@@ -51,6 +53,14 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
         assert fragment in err
+
+    def test_strong_groupoid_map_check_is_rejected(self, tmp_path):
+        identity = tmp_path / "identity.map"
+        identity.write_text("map\nimages a b c d\n")
+        code, out, err = run_cli(["hom", "--groupoid", "--strong", "--map", str(identity),
+                                  "tests/data/ex1.grp", "tests/data/ex1.grp"])
+        assert (code, out) == (2, "")
+        assert "applies to relational systems only" in err
 
     def test_key_error_message_is_not_requoted(self):
         code, out, err = run_cli(["check", "named", "FOO", "tests/data/ex1.grp"])
@@ -109,6 +119,14 @@ class TestOutputFlag:
         assert code == 0
         assert out == "52\n"
         assert "; models: 52; nodes: 177; forced: 56; seconds: " in err
+
+    def test_listing_and_count_report_the_same_search(self):
+        argv = ["enumerate", "-n", "4", "--require", "AX1,AX2", "--stats"]
+        with_count = run_cli(argv + ["--count"])[2]
+        listing = run_cli(argv)[2]
+        want = "; models: 5450; nodes: 20268; forced: 3537; seconds: "
+        assert want in with_count and want in listing
+        assert with_count.split("seconds:")[0] == listing.split("seconds:")[0]
 
 
 class TestParserReuse:
@@ -198,6 +216,11 @@ class TestMalformedFiles:
         ("groupoid\nelements a b\ntable\nb b\n", "line"),
         ("groupoid\nelements a b\ntable\nb b\nb z\n", "line 5"),
         ("groupoid\nelements a b\ntable\nb b\nb a\ninvolution a b\n", "line 6"),
+        # the section is rejected at its own line, before its names are read
+        ("groupoid\nelements a b\ntable\nb b\nb a\ninvolution b a\nbounds a b\n",
+         "line 6: groupoid files take no involution section"),
+        ("groupoid\nelements a b\ntable\nb b\nb a\ninvolution a z\n",
+         "line 6: groupoid files take no involution section"),
     ])
     def test_bad_groupoid_files(self, text, fragment):
         with pytest.raises(FileFormatError) as exc:

@@ -164,7 +164,9 @@ class TestStreaming:
         limited = spec_sheffer(4, limit=1)
         listed = run_enumeration(limited)
         assert listed.nodes < 2027
-        counted = search._count_run(limited)
+        counted = search.EnumerationResult([], 0, 0.0, 0, 0)
+        for _ in search._listing(limited, counted):
+            pass
         assert (counted.count, counted.nodes, counted.forced) == \
             (listed.count, listed.nodes, listed.forced)
 

@@ -6,11 +6,12 @@ earlier relabeling functions, and ``ref_canonical_form`` the earlier
 minimum over them.  ``ref_iso_representatives`` is the earlier seen-set
 pass, which kept the first model of each class in the sorted listing.
 ``ref_enumerate_drsi`` is the earlier nested filter, which tested
-directedness once per (relation, involution) pair.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism`` and
-``enumerate_drsi`` must agree with exactly: the same forms, so the same
-isomorphism partition, the same representatives, and the same systems in
-the same order.
+directedness once per (relation, involution) pair, and ``ref_involutions``
+the earlier recursive walk over period-two maps.  They stay here as the
+reference that ``canonical_form``, ``up_to_isomorphism``,
+``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
+forms, so the same isomorphism partition, the same representatives, and
+the same systems and maps in the same order.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
+from shefferkit.search import _involutions
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,28 @@ def ref_enumerate_drsi(n):
             sys = RelationalSystem(carrier, relation, u)
             if check_involution(sys, u).holds and is_directed(sys).holds:
                 yield sys
+
+
+def ref_involutions(n):
+    image = [None] * n
+
+    def rec(start):
+        i = next((k for k in range(start, n) if image[k] is None), None)
+        if i is None:
+            yield tuple(image)
+            return
+        image[i] = i
+        yield from rec(i + 1)
+        image[i] = None
+        for j in range(i + 1, n):
+            if image[j] is None:
+                image[i] = j
+                image[j] = i
+                yield from rec(i + 1)
+                image[i] = None
+                image[j] = None
+
+    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +217,10 @@ class TestDrsiEnumerationReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_systems_in_same_order(self, n):
         assert list(enumerate_drsi(n)) == list(ref_enumerate_drsi(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_same_involutions_in_same_order(self, n):
+        got = list(_involutions(n))
+        assert got == list(ref_involutions(n))
+        # 1, 1, 2, 4, 10, 26, 76 involutions of 0..6 elements
+        assert len(got) == (1, 1, 2, 4, 10, 26, 76)[n]
