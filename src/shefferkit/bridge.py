@@ -134,11 +134,13 @@ def assignment_space(sys: RelationalSystem) -> AssignmentSpace:
     return AssignmentSpace(sys, tuple(cells))
 
 
-def assign(sys: RelationalSystem, policy: Optional[ChoicePolicy] = None) -> Groupoid:
-    """Build one operation assigned to ``sys`` under the given choice policy."""
+def assign(source: Union[RelationalSystem, AssignmentSpace],
+           policy: Optional[ChoicePolicy] = None) -> Groupoid:
+    """Build one operation assigned to a system under the given choice policy."""
     if policy is None:
         policy = ChoicePolicy.least()
-    space = assignment_space(sys)
+    space = source if isinstance(source, AssignmentSpace) else assignment_space(source)
+    sys = space.system
     explicit = dict(policy.choices)
     for (x, y), v in explicit.items():
         if not (0 <= x < sys.carrier.size and 0 <= y < sys.carrier.size):
@@ -241,21 +243,19 @@ def lattice_sheffer(order: RelationalSystem, mode: str) -> Groupoid:
     order carrying an antitone involution."""
     if mode not in ("join", "meet"):
         raise ValueError(f"mode must be 'join' or 'meet', got {mode!r}")
-    if order.involution is None:
-        raise ValueError("lattice order must carry an involution")
+    u = _involution_of(order)
     props = relation_properties(order.relation)
     for label in ("reflexive", "antisymmetric", "transitive"):
         if not getattr(props, label):
             raise ValueError(f"relation is not a partial order: {label} fails "
                              f"at {props.witnesses[label]}")
-    inv_check = check_involution(order, order.involution)
+    inv_check = check_involution(order, u)
     if not inv_check:
         raise ValueError(f"involution check fails: {inv_check.reason} at {inv_check.witness}")
     rel, bound = order.relation, "least upper bound"
     if mode == "meet":
         rel, bound = rel.transpose(), "greatest lower bound"
     bounds = _least_upper_bounds(rel, order.carrier.names, bound)
-    u = order.involution
     n = order.carrier.size
     table = tuple(tuple(bounds[u(x)][u(y)] for y in range(n)) for x in range(n))
     return Groupoid(order.carrier, table, order.bottom, order.top)

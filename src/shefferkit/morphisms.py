@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator
 
-from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, _require_drsi, check_bounded
-from .sheffer import Groupoid, derived_involution
-from .bridge import ChoicePolicy, assign, assignment_space, induce_system, is_assigned
+from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, check_bounded
+from .sheffer import Groupoid
+from .bridge import ChoicePolicy, assign, assignment_space, induce_system
 
 __all__ = [
     "HypothesisError",
@@ -213,21 +213,16 @@ def is_congruence(g: Groupoid, eq: EquivalenceRelation) -> Verdict:
     return Verdict(True)
 
 
-def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSystem,
-                            src_sys: Optional[RelationalSystem] = None) -> Groupoid:
+def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSystem) -> Groupoid:
     """Push the operation along a strong surjective map with congruence kernel.
 
-    ``src_sys`` defaults to the induced system of ``ga``.  The result is
-    defined on representatives and audited over every preimage pair, so a
-    kernel that is not a congruence cannot slip through.
+    The source system is the induced system of ``ga``: an operation
+    assigned to a DRSI induces that same DRSI, so no other source system
+    can be meant.  The result is defined on representatives and audited
+    over every preimage pair, so a kernel that is not a congruence cannot
+    slip through.
     """
-    if src_sys is None:
-        src_sys = induce_system(ga)
-    else:
-        derived_involution(ga)  # the Sheffer guard, which induce_system runs on the other path
-        assigned = is_assigned(src_sys, ga)
-        if not assigned:
-            raise ValueError(f"groupoid is not assigned to the source system: {assigned.reason}")
+    src_sys = induce_system(ga)
     _carriers_match(f, src_sys, dst_sys)
     if not f.is_surjective():
         raise HypothesisError("map is not surjective onto the target carrier")
@@ -254,30 +249,23 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
     return Groupoid(dst_sys.carrier, tuple(table), dst_sys.bottom, dst_sys.top)
 
 
-def _require_bounded_drsi(sys: RelationalSystem) -> None:
-    _require_drsi(sys)
+def bounded_top_assignment(sys: RelationalSystem) -> Groupoid:
+    """The assignment that sends every free cell to the top element."""
+    space = assignment_space(sys)
     bounded = check_bounded(sys)
     if not bounded:
         raise ValueError(f"system is not bounded: {bounded.reason} at {bounded.witness}")
-
-
-def bounded_top_assignment(sys: RelationalSystem) -> Groupoid:
-    """The assignment that sends every free cell to the top element."""
-    _require_bounded_drsi(sys)
-    free = assignment_space(sys).free_pairs
-    return assign(sys, ChoicePolicy.explicit({cell: sys.top for cell in free}))
+    return assign(space, ChoicePolicy.explicit({cell: sys.top for cell in space.free_pairs}))
 
 
 def verify_bounded_hom(sys_a: RelationalSystem, sys_b: RelationalSystem,
                        f: ElementMap) -> bool:
     """A strong top-preserving map must carry top-assignments homomorphically."""
-    _require_bounded_drsi(sys_a)
-    _require_bounded_drsi(sys_b)
+    ga = bounded_top_assignment(sys_a)
+    gb = bounded_top_assignment(sys_b)
     hom = is_rel_homomorphism(sys_a, sys_b, f, strong=True)
     if not hom:
         raise ValueError(f"map is not a strong homomorphism: {hom.reason} at {hom.witness}")
     if f(sys_a.top) != sys_b.top:
         raise ValueError("map does not preserve the top element")
-    ga = bounded_top_assignment(sys_a)
-    gb = bounded_top_assignment(sys_b)
     return is_groupoid_homomorphism(ga, gb, f).holds

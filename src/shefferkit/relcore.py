@@ -53,7 +53,7 @@ class Carrier:
         if n < 1:
             raise ValueError(f"carrier size must be at least 1, got {n}")
         for name in self.names:
-            if not name or any(ch.isspace() for ch in name) or name.startswith("#"):
+            if not name or any(ch.isspace() for ch in name) or "#" in name:
                 raise ValueError(f"bad element name {name!r}")
         if len(set(self.names)) != n:
             raise ValueError("element names must be pairwise distinct")
@@ -110,8 +110,11 @@ class BinaryRelation:
 
     @classmethod
     def from_matrix(cls, carrier: Carrier, matrix: Iterable[Iterable[int]]) -> "BinaryRelation":
+        n = carrier.size
         rows = []
-        for row in matrix:
+        for i, row in enumerate(map(tuple, matrix)):
+            if len(row) != n:
+                raise ValueError(f"matrix row {i} has {len(row)} cells, expected {n}")
             mask = 0
             for j, cell in enumerate(row):
                 if cell not in (0, 1):

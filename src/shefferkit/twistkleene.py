@@ -202,9 +202,7 @@ def kleene_subsystem(sys: RelationalSystem, a: int) -> tuple[RelationalSystem, K
         if star(p) not in position:
             raise RuntimeError("coordinate swap does not preserve the subsystem")
 
-    idx = PairIndexing(sys.carrier)
-    names = tuple(idx.name(*idx.unflat(p)) for p in members)
-    carrier = Carrier(names)
+    carrier = Carrier(tuple(twist.carrier.names[p] for p in members))
     rows = []
     for p in members:
         mask = 0

@@ -149,6 +149,13 @@ class TestAssign:
         g = assign(chain2)
         assert (g.bottom, g.top) == (0, 1)
 
+    @pytest.mark.parametrize("policy", [
+        ChoicePolicy.least(), ChoicePolicy.greatest(), ChoicePolicy.seeded(42),
+        ChoicePolicy.explicit({(0, 1): 3, (1, 0): 2}),
+    ], ids=["min", "max", "rand:42", "explicit"])
+    def test_space_or_system_gives_the_same_operation(self, ex1_system, policy):
+        assert assign(assignment_space(ex1_system), policy) == assign(ex1_system, policy)
+
 
 class TestAllAssignments:
     def test_example_enumeration(self, ex1, ex1_system):
@@ -261,6 +268,10 @@ class TestLatticeSheffer:
             lattice_sheffer(order, "join")
         with pytest.raises(ValueError, match=r"no unique greatest lower bound for pair \(e0, e1\)"):
             lattice_sheffer(order, "meet")
+
+    def test_rejects_order_without_involution(self, chain3_plain):
+        with pytest.raises(ValueError, match=r"^system has no involution$"):
+            lattice_sheffer(chain3_plain, "join")
 
     def test_mode_validation(self, chain2):
         with pytest.raises(ValueError, match="mode"):

@@ -3,7 +3,8 @@
 The Sheffer condition is checked by ``sheffer.derived_involution`` and the
 DRSI condition by ``relcore._require_drsi``.  Every entry point that needs
 a condition reports its failure with that guard's message, and no entry
-point checks the Sheffer axioms of one groupoid twice.
+point checks the Sheffer axioms of one groupoid, or the DRSI conditions of
+one system, twice.
 """
 
 import sys
@@ -29,6 +30,7 @@ from shefferkit import (
     verify_hom_transfer,
     verify_roundtrip,
 )
+import shefferkit.bridge as bridge
 import shefferkit.relcore as relcore
 import shefferkit.sheffer as sheffer
 
@@ -68,8 +70,6 @@ class TestShefferGuard:
             "verify_hom_transfer source": lambda: verify_hom_transfer(lproj, nand, ident),
             "verify_hom_transfer target": lambda: verify_hom_transfer(nand, lproj, ident),
             "induced_image_operation": lambda: induced_image_operation(lproj, ident, chain2),
-            "induced_image_operation with source system":
-                lambda: induced_image_operation(lproj, ident, chain2, chain2),
         }
         messages = {name: message_of(call) for name, call in calls.items()}
         assert messages == {name: LPROJ_MESSAGE for name in calls}
@@ -106,21 +106,26 @@ class TestDrsiGuard:
         assert assignment_space(ex1_system).count >= 1
 
 
-@pytest.fixture
-def sheffer_checks(monkeypatch):
-    """Groupoids passed to ``is_sheffer`` under any name a package module
-    holds it by."""
-    checked = []
-    real = sheffer.is_sheffer
+def recorded_calls(monkeypatch, home, attr):
+    """First arguments passed to ``home.attr`` under any name a package
+    module holds it by."""
+    calls = []
+    real = getattr(home, attr)
 
-    def counting(g):
-        checked.append(g)
-        return real(g)
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "shefferkit" and hasattr(module, "is_sheffer"):
-            monkeypatch.setattr(module, "is_sheffer", counting)
-    return checked
+        if name.split(".")[0] == "shefferkit" and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.fixture
+def sheffer_checks(monkeypatch):
+    """Groupoids passed to ``is_sheffer``."""
+    return recorded_calls(monkeypatch, sheffer, "is_sheffer")
 
 
 class TestOneCheckPerGroupoid:
@@ -140,8 +145,6 @@ class TestOneCheckPerGroupoid:
         ident = ElementMap.identity(ex1.carrier)
         induced_image_operation(ex1, ident, ex1_system)
         assert sheffer_checks == [ex1]
-        induced_image_operation(ex1, ident, ex1_system, ex1_system)
-        assert sheffer_checks == [ex1, ex1]
 
     def test_verify_hom_transfer_checks_each_groupoid_once(self, ex1, nand, sheffer_checks):
         verify_hom_transfer(ex1, ex1, ElementMap.identity(ex1.carrier))
@@ -151,3 +154,25 @@ class TestOneCheckPerGroupoid:
         with pytest.raises(ValueError, match="homomorphism"):
             verify_hom_transfer(ex1, nand, const)
         assert sheffer_checks == [ex1, nand]
+
+
+class TestOneCheckPerSystem:
+    @pytest.fixture
+    def drsi_checks(self, monkeypatch):
+        """Systems passed to the DRSI guard ``relcore._require_drsi``."""
+        return recorded_calls(monkeypatch, relcore, "_require_drsi")
+
+    @pytest.fixture
+    def space_builds(self, monkeypatch):
+        """Systems passed to ``assignment_space``."""
+        return recorded_calls(monkeypatch, bridge, "assignment_space")
+
+    def test_bounded_top_assignment(self, bool4, drsi_checks, space_builds):
+        bounded_top_assignment(bool4)
+        assert drsi_checks == [bool4]
+        assert space_builds == [bool4]
+
+    def test_verify_bounded_hom(self, bool4, drsi_checks, space_builds):
+        assert verify_bounded_hom(bool4, bool4, ElementMap.identity(bool4.carrier))
+        assert drsi_checks == [bool4, bool4]
+        assert space_builds == [bool4, bool4]

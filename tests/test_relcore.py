@@ -38,7 +38,7 @@ class TestCarrier:
         with pytest.raises(KeyError):
             car.index("z")
 
-    @pytest.mark.parametrize("bad", [(), ("a", "a"), ("a", "b c")])
+    @pytest.mark.parametrize("bad", [(), ("a", "a"), ("a", "b c"), ("a#b", "c")])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             Carrier(bad)
@@ -83,6 +83,13 @@ class TestBinaryRelation:
         car = Carrier.of_size(2)
         with pytest.raises(IndexError):
             BinaryRelation.from_pairs(car, [(0, 2)])
+
+    def test_matrix_rows_must_cover_the_carrier(self):
+        car = Carrier.of_size(3)
+        with pytest.raises(ValueError, match=r"^matrix row 0 has 1 cells, expected 3$"):
+            BinaryRelation.from_matrix(car, [[1], [0, 1], [0, 0, 1]])
+        with pytest.raises(ValueError, match=r"^matrix row 2 has 4 cells, expected 3$"):
+            BinaryRelation.from_matrix(car, [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]])
 
     def test_list_rows_become_a_tuple(self):
         car = Carrier.of_size(2)
