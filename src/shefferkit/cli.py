@@ -475,9 +475,8 @@ def _split_keys(items: Optional[list[str]]) -> tuple[str, ...]:
 def cmd_enumerate(args) -> int:
     spec = EnumerationSpec(
         size=args.size,
-        require=_split_keys(args.require),
+        require=_split_keys(args.require) + (("COMM",) if args.commutative else ()),
         forbid=_split_keys(args.forbid),
-        commutative=args.commutative,
         with_bounds=args.with_bounds,
         up_to_isomorphism=args.iso,
         limit=args.limit,
@@ -614,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", dest="size", type=int, required=True)
     p.add_argument("--require", action="append", metavar="KEY[,KEY...]")
     p.add_argument("--forbid", action="append", metavar="KEY[,KEY...]")
-    p.add_argument("--commutative", action="store_true")
+    p.add_argument("--commutative", action="store_true", help="same as --require COMM")
     p.add_argument("--with-bounds", action="store_true", dest="with_bounds")
     p.add_argument("--iso", action="store_true", help="canonical representatives only")
     p.add_argument("--count", action="store_true")

@@ -147,6 +147,11 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
     m = dst.carrier.size
     check_inv = (not groupoid_mode and src.involution is not None
                  and dst.involution is not None)
+    # the pairs (x, u(x)) whose later end is i: every pair is checked, since an
+    # involution read from a file need not have period two
+    inv_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x in range(n if check_inv else 0):
+        inv_pairs[max(x, src.involution(x))].append((x, src.involution(x)))
 
     image = [0] * n
     used = [0] * m
@@ -168,9 +173,8 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
                     return False
                 if strong and back and not forward:
                     return False
-        if check_inv:
-            j = src.involution(i)
-            if j <= i and image[j] != dst.involution(image[i]):
+        for x, j in inv_pairs[i]:
+            if image[j] != dst.involution(image[x]):
                 return False
         return True
 
@@ -218,9 +222,8 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
 
     The source system is the induced system of ``ga``: an operation
     assigned to a DRSI induces that same DRSI, so no other source system
-    can be meant.  The result is defined on representatives and audited
-    over every preimage pair, so a kernel that is not a congruence cannot
-    slip through.
+    can be meant.  The kernel is a congruence, so the result is read from
+    one preimage of each target element.
     """
     src_sys = induce_system(ga)
     _carriers_match(f, src_sys, dst_sys)
@@ -233,20 +236,10 @@ def induced_image_operation(ga: Groupoid, f: ElementMap, dst_sys: RelationalSyst
     if not cong:
         raise HypothesisError(f"kernel is not a congruence: witness {cong.witness}")
 
+    rep = {v: x for x, v in enumerate(f.image)}
     m = dst_sys.carrier.size
-    preimages: list[list[int]] = [[] for _ in range(m)]
-    for x, v in enumerate(f.image):
-        preimages[v].append(x)
-    table = []
-    for u in range(m):
-        row = []
-        for v in range(m):
-            values = {f(ga.table[x][y]) for x in preimages[u] for y in preimages[v]}
-            if len(values) != 1:
-                raise RuntimeError("image operation is not well defined despite congruence kernel")
-            row.append(values.pop())
-        table.append(tuple(row))
-    return Groupoid(dst_sys.carrier, tuple(table), dst_sys.bottom, dst_sys.top)
+    table = tuple(tuple(f(ga.table[rep[u]][rep[v]]) for v in range(m)) for u in range(m))
+    return Groupoid(dst_sys.carrier, table, dst_sys.bottom, dst_sys.top)
 
 
 def bounded_top_assignment(sys: RelationalSystem) -> Groupoid:

@@ -62,13 +62,13 @@ class EnumerationSpec:
 
     ``require``/``forbid`` accept catalog keys or Law values.  Laws that
     mention '0'/'1' need ``with_bounds``, which multiplies each passing
-    table by all designations of bottom and top.
+    table by all designations of bottom and top.  A required ``x|y = y|x``
+    (catalog key COMM, in any spelling) makes the search mirror each cell.
     """
 
     size: int
     require: tuple = ()
     forbid: tuple = ()
-    commutative: bool = False
     with_bounds: bool = False
     up_to_isomorphism: bool = False
     limit: Optional[int] = None
@@ -129,6 +129,12 @@ def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
     return out
 
 
+def _is_commutativity(law: Law) -> bool:
+    """Whether the law is ``x|y = y|x`` up to the names and the sides' order."""
+    return not law.premises and len(law.variables) == 2 and \
+        sorted(law._program.apps) == [(0, 1), (1, 0)]
+
+
 def _cell_order(n: int) -> list[tuple[int, int]]:
     cells = [(i, i) for i in range(n)]
     cells.extend((i, j) for i in range(n) for j in range(n) if i != j)
@@ -154,7 +160,10 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
     n = spec.size
     size = n * n
     order = [i * n + j for i, j in _cell_order(n)]
-    mirror = [(c % n) * n + c // n if spec.commutative else c for c in range(size)]
+    # a required commutativity law is kept by mirroring each assigned cell,
+    # so it is not ground
+    commutative = any(_is_commutativity(law) for law in spec.require)
+    mirror = [(c % n) * n + c // n if commutative else c for c in range(size)]
 
     def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool) -> Iterator:
         """Examine ``instances``, then yield a run per complete diagonal or each complete table."""
@@ -255,7 +264,7 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
         if all(examine(inst, queue) for inst in instances) and propagate(queue):
             yield from rec(0)
 
-    prunable = [law for law in spec.require if not law.constants]
+    prunable = [law for law in spec.require if not law.constants and not _is_commutativity(law)]
     yield from heapq.merge(*search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True))
 
 

@@ -202,6 +202,8 @@ CLI_CORPUS = [
     ("check_props_ex1", ["check", "props", "tests/data/ex1.sys"], 0),
     ("check_drsi_ex1", ["check", "drsi", "tests/data/ex1.sys"], 0),
     ("check_kleene_chain2", ["check", "kleene", "tests/data/chain2.sys"], 0),
+    ("check_kleene_discrete2", ["check", "kleene", "tests/data/discrete2.sys"], 1),
+    ("check_props_noloop2", ["check", "props", "tests/data/noloop2.sys"], 0),
     ("induce_ex1", ["induce", "tests/data/ex1.grp"], 0),
     ("assign_min_ex1", ["assign", "--policy", "min", "tests/data/ex1.sys"], 0),
     ("assign_max_ex1", ["assign", "--policy", "max", "tests/data/ex1.sys"], 0),
@@ -213,6 +215,10 @@ CLI_CORPUS = [
     ("kleene_sub_chain3", ["kleene-sub", "--base", "0", "tests/data/chain3.sys"], 0),
     ("hom_groupoid_ex1", ["hom", "--groupoid", "tests/data/ex1.grp", "tests/data/ex1.grp"], 0),
     ("hom_strong_chain2", ["hom", "--strong", "tests/data/chain2.sys", "tests/data/chain2.sys"], 0),
+    ("hom_map_chain2", ["hom", "--map", "tests/data/identity2.map", "tests/data/chain2.sys",
+                        "tests/data/chain2.sys"], 0),
+    ("hom_map_swap_chain2", ["hom", "--map", "tests/data/swap2.map", "tests/data/chain2.sys",
+                             "tests/data/chain2.sys"], 1),
     ("quotient_ex1", ["quotient", "tests/data/ex1.grp", "tests/data/collapse.map",
                       "tests/data/quotient.sys"], 0),
     ("enumerate_n2", ["enumerate", "-n", "2", "--require", "AX1,AX2"], 0),

@@ -273,7 +273,7 @@ def test_criterion_10_enumeration_oracle():
     naive2c = [g for g in naive2 if check_law(g, get_law("COMM")).holds]
     assert len(naive2c) == 2
     assert count_models(
-        EnumerationSpec(2, require=("AX1", "AX2"), commutative=True)) == 2
+        EnumerationSpec(2, require=("AX1", "AX2", "COMM"))) == 2
 
     naive3 = groupoids_naive(3, sheffer_pred)
     pruned3 = run_enumeration(EnumerationSpec(3, require=("AX1", "AX2"))).groupoids
@@ -293,6 +293,6 @@ def test_criterion_11_parser_and_cli():
         t = random_term(rng, 6)
         assert parse_term(format_term(t)) == t
 
-    assert len(list(GOLDEN.glob("*.txt"))) == 23
+    assert len(list(GOLDEN.glob("*.txt"))) == 27
     check_cli_corpus()
     print("ACCEPTANCE 11 parser-and-cli: PASS")

@@ -84,6 +84,17 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_quotient_kernel_not_congruence_is_exit_one(self, tmp_path):
+        # collapsing a and d is strong, but a|b = a and d|b = b are apart
+        grp, sys_file, map_file = tmp_path / "g.grp", tmp_path / "q.sys", tmp_path / "f.map"
+        grp.write_text("groupoid\nelements a b c d\ntable\na a b d\na c b d\nb b b b\na b b d\n")
+        sys_file.write_text("system\nelements ad b c\nrelation\n1 1 0\n0 1 0\n1 1 1\n"
+                            "involution ad c b\n")
+        map_file.write_text("map\nimages ad b c ad\n")
+        code, out, err = run_cli(["quotient", str(grp), str(map_file), str(sys_file)])
+        assert (code, out) == (1, "")
+        assert err == "error: kernel is not a congruence: witness (0, 3, 1, 1)\n"
+
     def test_failing_drsi_check_is_exit_one(self, tmp_path):
         broken = tmp_path / "broken.sys"
         broken.write_text(
@@ -206,6 +217,11 @@ class TestMalformedFiles:
         ("system\nelements a b\nrelation\n1 1\n0 1\ninvolution b z\n", "line 6"),
         ("system\nelements a b\nrelation\n1 1\n0 1\nbounds a\n", "line 6"),
         ("system\nelements a a\nrelation\n1 1\n0 1\n", "line 2"),
+        ("system\nelements\nrelation\n", "line 2: elements section lists no names"),
+        ("system\nelements a b\nrelation\n1 1\n0 1\ninvolution a\n",
+         "line 6: involution needs 2 names"),
+        ("system\nelements a b\nrelation\n1 1\n0 1\norder a b\n",
+         "line 6: unexpected section 'order'"),
     ])
     def test_bad_system_files(self, text, fragment):
         with pytest.raises(FileFormatError) as exc:
@@ -215,6 +231,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("text,fragment", [
         ("groupoid\nelements a b\ntable\nb b\n", "line"),
         ("groupoid\nelements a b\ntable\nb b\nb z\n", "line 5"),
+        ("groupoid\nelements a b\ntable\nb\nb a\n", "line 4: table row must list 2 entries"),
         ("groupoid\nelements a b\ntable\nb b\nb a\ninvolution a b\n", "line 6"),
         # the section is rejected at its own line, before its names are read
         ("groupoid\nelements a b\ntable\nb b\nb a\ninvolution b a\nbounds a b\n",
@@ -232,6 +249,8 @@ class TestMalformedFiles:
         dst = parse_system_file((DATA / "quotient.sys").read_text()).carrier
         with pytest.raises(FileFormatError):
             parse_map_file("map\nimages a b\n", src, dst)
+        with pytest.raises(FileFormatError, match="line 3: unexpected section 'bounds'"):
+            parse_map_file("map\nimages a b cd cd\nbounds a b\n", src, dst)
 
     def test_error_carries_line_attribute(self):
         with pytest.raises(FileFormatError) as exc:

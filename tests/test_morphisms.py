@@ -10,6 +10,7 @@ from shefferkit import (
     ElementMap,
     EquivalenceRelation,
     Groupoid,
+    HypothesisError,
     RelationalSystem,
     bounded_top_assignment,
     find_homomorphisms,
@@ -173,6 +174,33 @@ class TestFindHomomorphisms:
         for f in find_homomorphisms(ex1, ex1):
             assert is_rel_homomorphism(sys, sys, f).holds
 
+    def test_involution_read_without_period_two(self):
+        # f(b) = u'(f(a)) and f(a) = u'(f(b)) need f(a) = u'(u'(f(a))); u' is a 3-cycle
+        src_car, dst_car = Carrier(("a", "b")), Carrier(("p", "q", "r"))
+        src = RelationalSystem(src_car, BinaryRelation.full(src_car),
+                               ElementMap(src_car, src_car, (1, 0)))
+        dst = RelationalSystem(dst_car, BinaryRelation.full(dst_car),
+                               ElementMap(dst_car, dst_car, (1, 2, 0)))
+        assert list(find_homomorphisms(src, dst)) == []
+
+    def test_search_equals_a_scan_of_every_map(self):
+        # every self-map serves as the involution, period two or not; the
+        # full relations leave the involutions alone to decide
+        c2, c3 = Carrier.of_size(2), Carrier.of_size(3)
+        chain2 = BinaryRelation.from_matrix(c2, ((1, 1), (0, 1)))
+        systems = [RelationalSystem(car, rel, ElementMap(car, car, image))
+                   for car, rel in ((c2, chain2), (c2, BinaryRelation.full(c2)),
+                                    (c3, BinaryRelation.full(c3)))
+                   for image in itertools.product(range(car.size), repeat=car.size)]
+        for src, dst in itertools.product(systems, repeat=2):
+            for strong in (False, True):
+                want = [image for image in itertools.product(range(dst.carrier.size),
+                                                             repeat=src.carrier.size)
+                        if is_rel_homomorphism(src, dst, ElementMap(src.carrier, dst.carrier,
+                                                                    image), strong)]
+                got = [f.image for f in find_homomorphisms(src, dst, strong=strong)]
+                assert got == want, (src, dst, strong)
+
 
 class TestCongruence:
     def test_collapse_blocks_work(self, ex1):
@@ -221,6 +249,19 @@ class TestInducedImage:
         f = ElementMap(ex1.carrier, quotient_target.carrier, EX1_COLLAPSE)
         with pytest.raises(ValueError, match="strong"):
             induced_image_operation(ex1, f, full)
+
+    def test_kernel_not_congruence_with_strong_map(self):
+        # collapsing 0 and 3 is a strong homomorphism of the induced systems,
+        # but 0|1 = 0 and 3|1 = 1 fall in different blocks
+        g = Groupoid(Carrier.of_size(4), ((0, 0, 1, 3), (0, 2, 1, 3), (1, 1, 1, 1), (0, 1, 1, 3)))
+        car = Carrier.of_size(3)
+        rel = BinaryRelation.from_matrix(car, ((1, 1, 0), (0, 1, 0), (1, 1, 1)))
+        dst = RelationalSystem(car, rel, ElementMap(car, car, (0, 2, 1)))
+        f = ElementMap(g.carrier, car, (0, 1, 2, 0))
+        assert is_rel_homomorphism(induce_system(g), dst, f, strong=True).holds
+        with pytest.raises(HypothesisError,
+                           match=r"kernel is not a congruence: witness \(0, 3, 1, 1\)"):
+            induced_image_operation(g, f, dst)
 
     def test_kernel_not_congruence(self, ex1):
         car = Carrier.of_size(3)

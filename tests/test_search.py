@@ -10,7 +10,7 @@ import pytest
 
 import shefferkit.search as search
 from shefferkit import cli
-from conftest import groupoids_naive
+from conftest import groupoids_naive, run_cli
 from shefferkit import (
     BinaryRelation,
     Carrier,
@@ -37,8 +37,8 @@ SHEFFER2 = [
 ]
 
 
-def spec_sheffer(n, **kw):
-    return EnumerationSpec(n, require=("AX1", "AX2"), **kw)
+def spec_sheffer(n, *extra, **kw):
+    return EnumerationSpec(n, require=("AX1", "AX2") + extra, **kw)
 
 
 def raw_sheffer_tables(n):
@@ -96,7 +96,7 @@ class TestShefferCounts:
         assert count_models(spec_sheffer(3)) == 52
 
     def test_commutative_restriction(self):
-        gs = run_enumeration(spec_sheffer(2, commutative=True)).groupoids
+        gs = run_enumeration(spec_sheffer(2, "COMM")).groupoids
         assert [g.table for g in gs] == [((1, 0), (0, 0)), ((1, 1), (1, 0))]
 
     def test_pruning_skips_nodes(self):
@@ -117,7 +117,7 @@ class TestShefferCounts:
         assert res.nodes == 20268 < 105820
 
     def test_size_five_commutative(self):
-        assert count_models(spec_sheffer(5, commutative=True)) == 2080
+        assert count_models(spec_sheffer(5, "COMM")) == 2080
 
     @pytest.mark.slow
     def test_size_five_classes(self):
@@ -210,8 +210,8 @@ class TestAgainstBruteForce:
         for n, rows in naive_law_tables.items():
             for commutative in (False, True):
                 for forbid in ((), (banned,)):
-                    spec = EnumerationSpec(n, require=laws, forbid=forbid,
-                                           commutative=commutative)
+                    spec = EnumerationSpec(n, require=laws + ("COMM",) * commutative,
+                                           forbid=forbid)
                     got = [g.table for g in run_enumeration(spec).groupoids]
                     want = [t for t, holds in rows
                             if holds.issuperset(laws) and not holds.intersection(forbid)
@@ -224,13 +224,57 @@ class TestAgainstBruteForce:
         assert got == [g.table for g in groupoids_naive(2, lambda g: check_law(g, law).holds)]
 
 
+class TestCommutativityLaw:
+    """A required ``x|y = y|x``, in any spelling, is kept by mirroring cells."""
+
+    @staticmethod
+    def models_and_stats(argv):
+        code, out, err = run_cli(argv + ["--stats"])
+        assert code == 0, err
+        # the summary echoes --require and the seconds vary: keep models, nodes, forced
+        return out, err.split("; ")[1:4]
+
+    @pytest.mark.parametrize("key", CATALOG_IDENTITIES)
+    def test_flag_equals_required_key(self, key):
+        for n in ("3", "4"):
+            for forbid in ([], ["--forbid", "CD3" if key == "SYM7" else "SYM7"]):
+                argv = ["enumerate", "-n", n] + forbid + ["--require"]
+                flag = self.models_and_stats(argv + [f"AX1,AX2,{key}", "--commutative"])
+                law = self.models_and_stats(argv + [f"AX1,AX2,{key},COMM"])
+                assert flag == law, (n, key, forbid)
+
+    @pytest.mark.parametrize("text", ["x|y = y|x", "a|b = b|a", "y|x = x|y"])
+    def test_any_spelling_is_mirrored(self, text):
+        law = parse_law(text)
+        assert search._is_commutativity(law)
+        res = run_enumeration(spec_sheffer(4, law))
+        # grounding the law instead forced 579 cells on the same 596 nodes
+        assert (res.count, res.nodes, res.forced) == (96, 596, 177)
+        keyed = run_enumeration(spec_sheffer(4, "COMM")).groupoids
+        assert [g.table for g in res.groupoids] == [g.table for g in keyed]
+
+    @pytest.mark.parametrize("text", ["x = y => x|y = y|x", "(x|y)|z = z|(x|y)",
+                                      "x|y = y|y", "x|x = x|x"])
+    def test_other_laws_are_ground(self, text):
+        law = parse_law(text)
+        assert not search._is_commutativity(law)
+        got = [g.table for g in run_enumeration(EnumerationSpec(2, require=(law,))).groupoids]
+        assert got == [g.table for g in groupoids_naive(2, lambda g: check_law(g, law).holds)]
+
+    def test_quasi_identity_keeps_non_commutative_models(self):
+        # x = y makes the conclusion x|x = x|x, so every Sheffer table passes
+        law = parse_law("x = y => x|y = y|x")
+        got = [g.table for g in run_enumeration(spec_sheffer(3, law)).groupoids]
+        assert got == raw_sheffer_tables(3)
+
+
 class TestOrderingAndLimits:
     def test_lexicographic_stream(self):
         # at n = 4 the runs of several diagonals are merged
-        for n, commutative in ((3, False), (4, False), (4, True)):
-            spec = spec_sheffer(n, commutative=commutative)
+        for n, extra in ((3, ()), (4, ()), (4, ("COMM",))):
+            spec = spec_sheffer(n, *extra)
             tables = [g.table for g in run_enumeration(spec).groupoids]
-            assert tables == sorted(tables), (n, commutative)
+            assert tables == sorted(tables), (n, extra)
 
     def test_limit(self):
         spec = spec_sheffer(3, limit=5)

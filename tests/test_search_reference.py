@@ -174,20 +174,18 @@ def iso_specs(n):
     """Keyword sets of the specs whose classes are compared at size n."""
     if n == 4:
         for laws in SHEFFER_LAW_SETS:
-            for commutative in (False, True):
-                yield dict(size=n, require=laws, commutative=commutative)
+            for comm in ((), ("COMM",)):
+                yield dict(size=n, require=laws + comm)
         return
     for laws in [("AX1",), ("AX2",)] + SHEFFER_LAW_SETS:
         banned = "SYM7" if "COMM" in laws else "COMM"
-        for commutative in (False, True):
+        for comm in ((), ("COMM",)):
             for forbid in ((), (banned,)):
-                yield dict(size=n, require=laws, forbid=forbid, commutative=commutative)
+                yield dict(size=n, require=laws + comm, forbid=forbid)
     for key in ("BOUND0", "BOUND1", "COMPL"):
-        for commutative in (False, True):
-            yield dict(size=n, require=("AX1", "AX2", key), with_bounds=True,
-                       commutative=commutative)
-            yield dict(size=n, require=("AX1", "AX2"), forbid=(key,), with_bounds=True,
-                       commutative=commutative)
+        for comm in ((), ("COMM",)):
+            yield dict(size=n, require=("AX1", "AX2", key) + comm, with_bounds=True)
+            yield dict(size=n, require=("AX1", "AX2") + comm, forbid=(key,), with_bounds=True)
 
 
 class TestIsomorphismClassesReference:

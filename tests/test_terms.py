@@ -96,6 +96,7 @@ class TestParsing:
         (parse_law, "(x = y)", "expected ')' (at position 3)"),
         (parse_law, "x=y=>", "expected a variable, constant, or '(' (at position 5)"),
         (parse_law, "x = y & y = z", "premise list without '=>' (at position 13)"),
+        (parse_law, "x = y)", "trailing input after law (at position 5)"),
     ])
     def test_error_messages(self, parse, text, message):
         with pytest.raises(ParseError) as exc:
