@@ -87,37 +87,58 @@ def _carriers_match(f: ElementMap, src, dst) -> None:
         raise ValueError("map carriers do not match source and target")
 
 
+def _conditions(src, dst, strong: bool):
+    """The conditions of a homomorphism src -> dst, in the order a map check reports them.
+
+    Each (x, y, z, table, witness, reason) holds for f when table[f(x)][f(y)] == f(z):
+    one per cell (x, y, x|y) of a groupoid; for systems, one per related pair (every
+    pair when ``strong``) against a table that returns its column exactly on the
+    related (or unrelated) cells, then one per (x, u(x)) against rows that hold u(a).
+    """
+    groupoid_mode = isinstance(src, Groupoid)
+    if groupoid_mode != isinstance(dst, Groupoid):
+        raise TypeError("source and target must both be systems or both groupoids")
+    if groupoid_mode and strong:
+        raise ValueError("strong mode applies to relational systems only")
+    n, m = src.carrier.size, dst.carrier.size
+    if groupoid_mode:
+        for x in range(n):
+            for y in range(n):
+                yield x, y, src.table[x][y], dst.table, (x, y), "f(x|y) differs from f(x)|f(y)"
+        return
+    related = [[b if row >> b & 1 else -1 for b in range(m)] for row in dst.relation.rows]
+    unrelated = [[-1 if row >> b & 1 else b for b in range(m)] for row in dst.relation.rows]
+    for x, row in enumerate(src.relation.rows):
+        for y in range(n):
+            if row >> y & 1:
+                yield x, y, y, related, (x, y), "related pair with unrelated images"
+            elif strong:
+                yield x, y, y, unrelated, (x, y), "unrelated pair with related images"
+    if src.involution is not None and dst.involution is not None:
+        # every x, as an involution read from a file need not have period two
+        flip = [[dst.involution(a)] * m for a in range(m)]
+        for x in range(n):
+            yield x, x, src.involution(x), flip, (x,), "does not commute with the involutions"
+
+
+def _first_failure(src, dst, f: ElementMap, strong: bool = False) -> Verdict:
+    _carriers_match(f, src, dst)
+    image = f.image
+    for x, y, z, table, witness, reason in _conditions(src, dst, strong):
+        if table[image[x]][image[y]] != image[z]:
+            return Verdict(False, witness, reason)
+    return Verdict(True)
+
+
 def is_rel_homomorphism(src: RelationalSystem, dst: RelationalSystem, f: ElementMap,
                         strong: bool = False) -> Verdict:
-    """Relation-preserving map; ``strong`` also demands the converse.
-
-    When both systems carry involutions the map must commute with them.
-    """
-    _carriers_match(f, src, dst)
-    n = src.carrier.size
-    for x in range(n):
-        for y in range(n):
-            forward = src.relation.has(x, y)
-            back = dst.relation.has(f(x), f(y))
-            if forward and not back:
-                return Verdict(False, (x, y), "related pair with unrelated images")
-            if strong and back and not forward:
-                return Verdict(False, (x, y), "unrelated pair with related images")
-    if src.involution is not None and dst.involution is not None:
-        for x in range(n):
-            if f(src.involution(x)) != dst.involution(f(x)):
-                return Verdict(False, (x,), "does not commute with the involutions")
-    return Verdict(True)
+    """Relation-preserving map that commutes with the involutions when both
+    systems carry one; ``strong`` also demands the converse."""
+    return _first_failure(src, dst, f, strong)
 
 
 def is_groupoid_homomorphism(ga: Groupoid, gb: Groupoid, f: ElementMap) -> Verdict:
-    _carriers_match(f, ga, gb)
-    n = ga.size
-    for x in range(n):
-        for y in range(n):
-            if f(ga.table[x][y]) != gb.table[f(x)][f(y)]:
-                return Verdict(False, (x, y), "f(x|y) differs from f(x)|f(y)")
-    return Verdict(True)
+    return _first_failure(ga, gb, f)
 
 
 def verify_hom_transfer(ga: Groupoid, gb: Groupoid, f: ElementMap) -> bool:
@@ -132,53 +153,22 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
                        injective: bool = False) -> Iterator[ElementMap]:
     """Backtracking search for homomorphisms, emitted in lexicographic image order.
 
-    Both arguments must be relational systems or both groupoids; the
-    groupoid mode constrains the operation instead of the relation, and
-    system pairs that both carry involutions get the compatibility
-    constraint as well.  The modes are checked at the call, before the
-    search starts: ``strong`` with groupoids raises ValueError.
+    Both arguments must be systems or both groupoids.  Each condition of the map
+    checks is checked once the last element it reads has its image, and the modes
+    are checked at the call: ``strong`` with groupoids raises ValueError.
     """
-    groupoid_mode = isinstance(src, Groupoid)
-    if groupoid_mode != isinstance(dst, Groupoid):
-        raise TypeError("source and target must both be systems or both groupoids")
-    if groupoid_mode and strong:
-        raise ValueError("strong mode applies to relational systems only")
-    n = src.carrier.size
-    m = dst.carrier.size
-    check_inv = (not groupoid_mode and src.involution is not None
-                 and dst.involution is not None)
-    # the pairs (x, u(x)) whose later end is i: every pair is checked, since an
-    # involution read from a file need not have period two
-    inv_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x in range(n if check_inv else 0):
-        inv_pairs[max(x, src.involution(x))].append((x, src.involution(x)))
+    n, m = src.carrier.size, dst.carrier.size
+    # the conditions whose last element read is i
+    due: list[list[tuple]] = [[] for _ in range(n)]
+    for x, y, z, table, _witness, _reason in _conditions(src, dst, strong):
+        due[max(x, y, z)].append((x, y, z, table))
 
     image = [0] * n
     used = [0] * m
-
-    def consistent(i: int) -> bool:
-        if groupoid_mode:
-            for x in range(i + 1):
-                for y in range(i + 1):
-                    z = src.table[x][y]
-                    if z <= i and (x == i or y == i or z == i):
-                        if image[z] != dst.table[image[x]][image[y]]:
-                            return False
-            return True
-        for x in range(i + 1):
-            for a, b in ((x, i), (i, x)):
-                forward = src.relation.has(a, b)
-                back = dst.relation.has(image[a], image[b])
-                if forward and not back:
-                    return False
-                if strong and back and not forward:
-                    return False
-        for x, j in inv_pairs[i]:
-            if image[j] != dst.involution(image[x]):
-                return False
-        return True
+    unused = m
 
     def extend(i: int) -> Iterator[ElementMap]:
+        nonlocal unused
         if i == n:
             yield ElementMap(src.carrier, dst.carrier, tuple(image))
             return
@@ -186,11 +176,16 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
             if injective and used[v]:
                 continue
             image[i] = v
+            unused -= not used[v]
             used[v] += 1
-            missing = sum(1 for c in used if c == 0)
-            if not (surjective and missing > n - i - 1) and consistent(i):
-                yield from extend(i + 1)
+            if not (surjective and unused > n - i - 1):
+                for x, y, z, table in due[i]:
+                    if table[image[x]][image[y]] != image[z]:
+                        break
+                else:
+                    yield from extend(i + 1)
             used[v] -= 1
+            unused += not used[v]
 
     return extend(0)
 

@@ -59,7 +59,11 @@ class PairIndexing:
 
     def pair_carrier(self) -> Carrier:
         n = self.base.size
-        return Carrier(tuple(self.name(x, y) for x in range(n) for y in range(n)))
+        first: dict[str, int] = {}
+        for k, name in enumerate(self.name(x, y) for x in range(n) for y in range(n)):
+            if first.setdefault(name, k) != k:
+                raise ValueError(f"pair name {name} names two pairs")
+        return Carrier(tuple(first))
 
 
 def twist_product(sys: RelationalSystem) -> RelationalSystem:

@@ -103,6 +103,18 @@ class TestErrorPaths:
         assert code == 1
         assert "drsi: no" in out
 
+    @pytest.mark.parametrize("argv", [["twist"], ["twist-op"], ["kleene-sub", "--base", "a"]])
+    def test_colliding_pair_names_exit_two(self, tmp_path, argv):
+        # a valid carrier whose pairs (a, "b,c") and ("a,b", c) both print as (a,b,c)
+        elements = "elements a c a,b b,c\n"
+        sys_file, grp_file = tmp_path / "comma.sys", tmp_path / "comma.grp"
+        sys_file.write_text("system\n" + elements + "relation\n" + "1 1 1 1\n" * 4)
+        grp_file.write_text("groupoid\n" + elements + "table\na a,b b,c a,b\n"
+                            "a,b c b,c a,b\na c b,c a,b\na c b,c a,b\n")
+        src = grp_file if argv[0] == "twist-op" else sys_file
+        code, out, err = run_cli(argv + [str(src)])
+        assert (code, out, err) == (2, "", "error: pair name (a,b,c) names two pairs\n")
+
     def test_lowercase_named_key_accepted(self):
         code, out, _ = run_cli(["check", "named", "sym7", "tests/data/ex1.grp"])
         assert code == 0

@@ -47,6 +47,19 @@ class TestPairIndexing:
         assert idx.name(0, 1) == "(0,1)"
         assert idx.pair_carrier().names == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
+    def test_colliding_pair_names_are_named(self):
+        # (a, "b,c") and ("a,b", c) both print as (a,b,c)
+        idx = PairIndexing(Carrier(("a", "c", "a,b", "b,c")))
+        with pytest.raises(ValueError, match=r"^pair name \(a,b,c\) names two pairs$"):
+            idx.pair_carrier()
+        sys = RelationalSystem(idx.base, BinaryRelation.full(idx.base))
+        with pytest.raises(ValueError, match="names two pairs"):
+            twist_product(sys)
+
+    def test_names_with_commas_that_stay_apart(self):
+        idx = PairIndexing(Carrier(("a,b", "c")))
+        assert idx.pair_carrier().names == ("(a,b,a,b)", "(a,b,c)", "(c,a,b)", "(c,c)")
+
 
 class TestTwistProduct:
     def test_chain_matrix(self, chain2):
