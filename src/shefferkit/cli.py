@@ -38,10 +38,9 @@ from .bridge import (
 )
 from .morphisms import (
     HypothesisError,
+    _first_failure,
     find_homomorphisms,
     induced_image_operation,
-    is_groupoid_homomorphism,
-    is_rel_homomorphism,
 )
 from .relcore import (
     BinaryRelation,
@@ -431,19 +430,15 @@ def cmd_hom(args) -> int:
     load = _load_groupoid if args.groupoid else _load_system
     src = load(args.src)
     dst = load(args.dst)
-    # built before the --map branch, so its check of the modes covers that branch too
-    found = find_homomorphisms(src, dst, strong=args.strong,
-                               surjective=args.surjective, injective=args.injective)
     if args.map:
         f = parse_map_file(_read(args.map), src.carrier, dst.carrier)
-        if args.groupoid:
-            v = is_groupoid_homomorphism(src, dst, f)
-        else:
-            v = is_rel_homomorphism(src, dst, f, strong=args.strong)
+        # the one map check for both kinds, so it rejects --strong with groupoids too
+        v = _first_failure(src, dst, f, args.strong)
         print(_verdict_line("homomorphism", v, src.carrier))
         return 0 if v.holds else 1
     count = 0
-    for f in found:
+    for f in find_homomorphisms(src, dst, strong=args.strong,
+                                surjective=args.surjective, injective=args.injective):
         count += 1
         arrows = " ".join(f"{src.carrier.names[i]}->{dst.carrier.names[f(i)]}"
                           for i in range(src.carrier.size))

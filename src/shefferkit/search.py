@@ -14,6 +14,9 @@ The search branches only on the next unknown cell in diagonal-first order
 (the defining axioms pin x|x down fastest), then row-major.  Below each
 complete diagonal the tables come in lexicographic order; the runs are
 merged into one sorted stream, which ``_models`` filters one table at a time.
+Up to isomorphism it keeps a table only if no relabeling comes first; each
+relabeling is a list of source cells and an element map, prepared once, and
+is read against the flat table cell by cell up to the first difference.
 """
 
 from __future__ import annotations
@@ -101,9 +104,10 @@ class EnumerationResult:
 
 # A ground instance is (premises, conclusion); every equation is a pair of
 # sides.  A side is a literal value (a bare variable) or a tuple of
-# instructions (a, b): an operand >= 0 is a literal value, an operand k < 0
-# is the result of instruction ~k of the same side, and the side's value is
-# that of its last instruction.
+# instructions (a, b): an operand k < 0 is the result of instruction ~k of
+# the same side, a literal left operand is stored times n and a literal
+# right operand as it is, so a cell of literals is a + b; the side's value
+# is that of its last instruction.
 
 
 def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
@@ -121,9 +125,10 @@ def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
         for combo in itertools.product(range(n), repeat=len(law.variables)):
             ground = []
             for pos, apps, root, results in sides:
-                refs = [combo[p] for p in pos] + results
-                ground.append(refs[root] if root < len(pos) else
-                              tuple((refs[a], refs[b]) for a, b in apps))
+                rights = [combo[p] for p in pos] + results
+                lefts = [combo[p] * n for p in pos] + results
+                ground.append(rights[root] if root < len(pos) else
+                              tuple((lefts[a], rights[b]) for a, b in apps))
             eqs = list(zip(ground[0::2], ground[1::2]))
             out.append((tuple(eqs[:-1]), eqs[-1]))
     return out
@@ -169,23 +174,22 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
         """Examine ``instances``, then yield a run per complete diagonal or each complete table."""
         trail: list[int] = []
 
-        def side(code) -> int:
-            """Value of a side; else ~cell when only its outermost cell is
-            unknown, else ~cell - size for the first unknown inner cell."""
-            if code.__class__ is int:
-                return code
+        def side(code: tuple) -> int:
+            """Value of a side of instructions; else ~cell when only its
+            outermost cell is unknown, else ~cell - size for the first
+            unknown inner cell."""
             vals: list[int] = []
             for a, b in code:
                 if a < 0:
-                    a = vals[~a]
+                    a = vals[~a] * n
                 if b < 0:
                     b = vals[~b]
-                cell = a * n + b
+                cell = a + b
                 v = table[cell]
                 if v < 0:
                     return ~cell if len(vals) == len(code) - 1 else ~cell - size
                 vals.append(v)
-            return vals[-1]
+            return v
 
         def blocker(value: int) -> int:
             return ~value if value >= -size else ~(value + size)
@@ -203,7 +207,8 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
         def examine(inst, queue: list[int]) -> bool:
             """Settle or re-file one instance; False on a violation."""
             for l, r in inst[0]:
-                lv, rv = side(l), side(r)
+                lv = l if l.__class__ is int else side(l)
+                rv = r if r.__class__ is int else side(r)
                 if lv >= 0 and rv >= 0:
                     if lv != rv:
                         return True
@@ -212,7 +217,9 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
                 watch[cell].append(inst)
                 trail.append(~cell)
                 return True
-            lv, rv = side(inst[1][0]), side(inst[1][1])
+            l, r = inst[1]
+            lv = l if l.__class__ is int else side(l)
+            rv = r if r.__class__ is int else side(r)
             if lv >= 0 and rv >= 0:
                 return lv == rv
             if lv >= 0 and rv >= -size:
@@ -268,22 +275,59 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
     yield from heapq.merge(*search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True))
 
 
+def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
+    """Each relabeling of range(n) but the identity, in the order of the
+    inverse permutations: the source cell of each relabeled cell in
+    row-major order, and the element map."""
+    out = []
+    for inv in itertools.islice(itertools.permutations(range(n)), 1, None):
+        perm = [0] * n
+        for a, i in enumerate(inv):
+            perm[i] = a
+        out.append(([i * n + j for i in inv for j in inv], perm))
+    return out
+
+
+def _least(flat: bytes, bottom: Optional[int], top: Optional[int],
+           relabelings: list[tuple[list[int], list[int]]]) -> bool:
+    """Whether no relabeling comes before the table and bounds, by the order
+    of ``_relabeled``: the cells are compared one at a time up to the first
+    difference, and the bounds only when every cell ties."""
+    for sources, perm in relabelings:
+        for source, own in zip(sources, flat):
+            v = perm[flat[source]]
+            if v != own:
+                if v < own:
+                    return False
+                break
+        else:
+            if bottom is not None and (perm[bottom], perm[top]) < (bottom, top):
+                return False
+    return True
+
+
 def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid]:
     """The models among complete tables, one table at a time: with bounds
-    each table is crossed with every bottom and top, the forbidden laws and
-    the required laws with constants filter, and under ``up_to_isomorphism``
-    only the least member of each isomorphism class is kept (Read's orderly
-    generation); the model set is closed under relabeling, so that member is
-    the first of its class in the sorted listing.  Rows share equal tuples,
-    and the cells lie in the carrier by construction, so the groupoids are
-    built unvalidated."""
+    each table is crossed with every bottom and top, under
+    ``up_to_isomorphism`` only the least member of each isomorphism class
+    is kept (Read's orderly generation), and the forbidden laws and the
+    required laws with constants filter.  The model set is closed under
+    relabeling, so the least member is the first of its class in the sorted
+    listing, and it can be told before the groupoid is built: each
+    relabeling other than the identity, read cell by cell in row-major
+    order, must not come first, with the bounds breaking a tie (see
+    ``_relabeled``).  Rows share equal tuples, and the cells lie in the
+    carrier by construction, so the groupoids are built unvalidated."""
     n = spec.size
     carrier = Carrier.of_size(n)
     const_require = [law for law in spec.require if law.constants]
     bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
-    others = list(itertools.permutations(range(n)))[1:]
+    relabelings = _relabelings(n) if spec.up_to_isomorphism else []
     rows_of: dict[bytes, tuple[int, ...]] = {}
     for flat in tables:
+        kept = [(bottom, top) for bottom, top in bounds if _least(flat, bottom, top, relabelings)]
+        if not kept:
+            continue
         rows = []
         for i in range(0, n * n, n):
             chunk = flat[i:i + n]
@@ -291,16 +335,12 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
             if row is None:
                 row = rows_of[chunk] = tuple(chunk)
             rows.append(row)
-        for bottom, top in bounds:
-            g = Groupoid._unchecked(carrier, tuple(rows), bottom, top)
+        table = tuple(rows)
+        for bottom, top in kept:
+            g = Groupoid._unchecked(carrier, table, bottom, top)
             if any(check_law(g, law).holds for law in spec.forbid) or \
                     not all(check_law(g, law).holds for law in const_require):
                 continue
-            if spec.up_to_isomorphism:
-                parts = _parts(g)[1]
-                own = _relabeled(parts, range(n))
-                if any(_relabeled(parts, inv, own) is not None for inv in others):
-                    continue
             yield g
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import CLI_CORPUS, DATA, GOLDEN, check_cli_corpus, run_cli
+from shefferkit import cli
 from shefferkit.cli import (
     FileFormatError,
     format_groupoid_file,
@@ -54,13 +55,35 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert fragment in err
 
-    def test_strong_groupoid_map_check_is_rejected(self, tmp_path):
+    def test_strong_groupoid_map_check_is_rejected(self, no_search, tmp_path):
         identity = tmp_path / "identity.map"
         identity.write_text("map\nimages a b c d\n")
         code, out, err = run_cli(["hom", "--groupoid", "--strong", "--map", str(identity),
                                   "tests/data/ex1.grp", "tests/data/ex1.grp"])
         assert (code, out) == (2, "")
         assert "applies to relational systems only" in err
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        # a map check needs no homomorphism search, not even to check the modes
+        def search(*args, **kwargs):
+            raise AssertionError("hom --map built a homomorphism search")
+
+        monkeypatch.setattr(cli, "find_homomorphisms", search)
+
+    @pytest.mark.parametrize("name,argv,want", [c for c in CLI_CORPUS if "--map" in c[1]],
+                             ids=[c[0] for c in CLI_CORPUS if "--map" in c[1]])
+    def test_map_check_builds_no_search(self, no_search, name, argv, want):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (want, "")
+        assert out == (GOLDEN / f"{name}.txt").read_text()
+
+    def test_groupoid_map_check_builds_no_search(self, no_search, tmp_path):
+        identity = tmp_path / "identity.map"
+        identity.write_text("map\nimages a b c d\n")
+        code, out, err = run_cli(["hom", "--groupoid", "--map", str(identity),
+                                  "tests/data/ex1.grp", "tests/data/ex1.grp"])
+        assert (code, out, err) == (0, "homomorphism: yes\n", "")
 
     def test_key_error_message_is_not_requoted(self):
         code, out, err = run_cli(["check", "named", "FOO", "tests/data/ex1.grp"])

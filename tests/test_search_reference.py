@@ -7,11 +7,17 @@ minimum over them.  ``ref_iso_representatives`` is the earlier seen-set
 pass, which kept the first model of each class in the sorted listing.
 ``ref_enumerate_drsi`` is the earlier nested filter, which tested
 directedness once per (relation, involution) pair, and ``ref_involutions``
-the earlier recursive walk over period-two maps.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism``,
+the earlier recursive walk over period-two maps.  ``ref_least_member`` is
+the earlier per-model loop of ``up_to_isomorphism``, which built relabeled
+rows through ``_relabeled`` until one was smaller.  They stay here as the
+reference that ``canonical_form``, ``up_to_isomorphism``, ``_least``,
 ``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
-forms, so the same isomorphism partition, the same representatives, and
-the same systems and maps in the same order.
+forms, so the same isomorphism partition, the same representatives, the
+same verdicts, and the same systems and maps in the same order.
+
+``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
+the table search as measured before its propagation step was made lighter;
+that change must leave the search tree as it was.
 """
 
 import itertools
@@ -32,7 +38,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _involutions
+from shefferkit.search import _involutions, _least, _parts, _relabeled, _relabelings
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +112,12 @@ def ref_enumerate_drsi(n):
             sys = RelationalSystem(carrier, relation, u)
             if check_involution(sys, u).holds and is_directed(sys).holds:
                 yield sys
+
+
+def ref_least_member(g, inverses):
+    parts = _parts(g)[1]
+    own = _relabeled(parts, range(g.size))
+    return not any(_relabeled(parts, inv, own) is not None for inv in inverses)
 
 
 def ref_involutions(n):
@@ -209,6 +221,59 @@ class TestIsomorphismClassesReference:
             own = ref_relabel_groupoid(g, perms[0])
             orbits += len(perms) // sum(ref_relabel_groupoid(g, p) == own for p in perms)
         assert (len(classes.groupoids), orbits) == (270, 5450)
+
+
+class TestLeastMemberReference:
+    def test_same_verdicts(self, sheffer_by_size):
+        verdicts = set()
+        for n, models in sheffer_by_size.items():
+            inverses = list(itertools.permutations(range(n)))[1:]
+            relabelings = _relabelings(n)
+            assert len(relabelings) == len(inverses)
+            for g in models:
+                flat = bytes(v for row in g.table for v in row)
+                for bottom, top in [(None, None), *itertools.product(range(n), repeat=2)]:
+                    bounded = Groupoid(g.carrier, g.table, bottom, top)
+                    for inv, one in zip(inverses, relabelings):
+                        got = _least(flat, bottom, top, [one])
+                        assert got == ref_least_member(bounded, [inv]), (bounded, inv)
+                        verdicts.add(got)
+                    assert _least(flat, bottom, top, relabelings) == \
+                        ref_least_member(bounded, inverses), bounded
+        assert verdicts == {True, False}
+
+
+# (count, nodes, forced) at n = 4 per required law set
+SEARCH_TREES = {
+    ("AX1", "AX2"): (5450, 20268, 3537),
+    ("AX1", "AX2", "COMM"): (96, 596, 177),
+    ("AX1", "AX2", "COMM", "COMM"): (96, 596, 177),
+    ("AX1", "AX2", "SYM7"): (434, 1960, 709),
+    ("AX1", "AX2", "SYM7", "COMM"): (0, 88, 65),
+    ("AX1", "AX2", "TRANS8"): (802, 5440, 1651),
+    ("AX1", "AX2", "TRANS8", "COMM"): (48, 304, 191),
+    ("AX1", "AX2", "CD3"): (96, 812, 564),
+    ("AX1", "AX2", "CD3", "COMM"): (96, 596, 177),
+    ("AX1", "AX2", "CD9"): (646, 4092, 1423),
+    ("AX1", "AX2", "CD9", "COMM"): (96, 596, 177),
+    ("AX1", "AX2", "ANTISYM"): (504, 4940, 1548),
+    ("AX1", "AX2", "ANTISYM", "COMM"): (96, 596, 177),
+}
+# the same at n = 3 with bounds, per law with constants
+BOUNDED_SEARCH_TREES = {"BOUND0": (198, 177, 56), "BOUND1": (198, 177, 56), "COMPL": (0, 177, 56)}
+
+
+class TestSearchTreePins:
+    @pytest.mark.parametrize("laws", list(dict.fromkeys(laws + comm for laws in SHEFFER_LAW_SETS
+                                                        for comm in ((), ("COMM",)))), ids=",".join)
+    def test_size_four(self, laws):
+        result = run_enumeration(EnumerationSpec(4, laws))
+        assert (result.count, result.nodes, result.forced) == SEARCH_TREES[laws]
+
+    @pytest.mark.parametrize("key", sorted(BOUNDED_SEARCH_TREES))
+    def test_size_three_with_bounds(self, key):
+        result = run_enumeration(EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True))
+        assert (result.count, result.nodes, result.forced) == BOUNDED_SEARCH_TREES[key]
 
 
 class TestDrsiEnumerationReference:
