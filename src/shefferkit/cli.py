@@ -478,7 +478,7 @@ def cmd_enumerate(args) -> int:
     )
     result = EnumerationResult([], 0, 0.0, 0, 0)
     # each model is printed as the search yields it, so none is kept
-    for g in _listing(spec, result):
+    for g in _listing(spec, result, build=not args.count):
         if not args.count:
             if result.count > 1:
                 print()

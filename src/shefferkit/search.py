@@ -14,9 +14,13 @@ The search branches only on the next unknown cell in diagonal-first order
 (the defining axioms pin x|x down fastest), then row-major.  Below each
 complete diagonal the tables come in lexicographic order; the runs are
 merged into one sorted stream, which ``_models`` filters one table at a time.
-Up to isomorphism it keeps a table only if no relabeling comes first; each
-relabeling is a list of source cells and an element map, prepared once, and
-is read against the flat table cell by cell up to the first difference.
+Up to isomorphism the search keeps only the least member of each class
+(orderly generation: Read 1978, McKay 1998).  Each relabeling is a list of
+source cells and an element map, prepared once, and at every node it is
+read against the known cells of the partial table up to the first
+difference: a smaller relabeled table cuts the subtree, a larger one drops
+the relabeling below the node.  Those left at a complete table are its
+automorphisms, against which ``_models`` breaks ties on the bounds.
 """
 
 from __future__ import annotations
@@ -146,10 +150,11 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[bytes]:
+def _search_tables(spec: EnumerationSpec,
+                   result: EnumerationResult) -> Iterator[tuple[bytes, list]]:
     """Yield each complete table satisfying the constant-free required laws
-    in lexicographic order, adding branching nodes and cells forced by
-    propagation to ``result``.
+    in lexicographic order, with its automorphisms, adding branching nodes
+    and cells forced by propagation to ``result``.
 
     Cells are flat indices ``i * n + j``; ``table`` holds -1 where unknown.
     Each undecided instance sits on the watch list of one unknown cell that
@@ -161,6 +166,10 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
     Each complete diagonal starts a run on its own copy of ``table`` and
     the watch lists.  A run branches on the later cells in row-major order,
     every earlier cell known, so it yields sorted tables; the runs are merged.
+
+    Under ``up_to_isomorphism`` every node narrows the live relabelings
+    (``_narrow``), starting from all but the identity, and a table comes
+    paired with those left, its automorphisms; otherwise the list is empty.
     """
     n = spec.size
     size = n * n
@@ -170,8 +179,10 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
     commutative = any(_is_commutativity(law) for law in spec.require)
     mirror = [(c % n) * n + c // n if commutative else c for c in range(size)]
 
-    def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool) -> Iterator:
-        """Examine ``instances``, then yield a run per complete diagonal or each complete table."""
+    def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool,
+               relabelings: list) -> Iterator:
+        """Examine ``instances``, then yield a run per complete diagonal or
+        each complete table, narrowing ``relabelings`` at every node."""
         trail: list[int] = []
 
         def side(code: tuple) -> int:
@@ -251,11 +262,18 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
                 else:
                     watch[~entry].pop()
 
-        def rec(pos: int) -> Iterator:
+        def rec(pos: int, live: list) -> Iterator:
+            if live:
+                live = _narrow(table, live)
+                if live is None:
+                    return
             while pos < size and table[order[pos]] >= 0:
                 pos += 1
             if pos >= (n if diagonal else size):
-                yield search(table[:], [w[:] for w in watch], (), False) if diagonal else bytes(table)
+                if diagonal:
+                    yield search(table[:], [w[:] for w in watch], (), False, live)
+                else:
+                    yield bytes(table), live
                 return
             cell = order[pos]
             for v in range(n):
@@ -264,15 +282,17 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult) -> Iterator
                 queue: list[int] = []
                 assign(cell, v, queue)
                 if propagate(queue):
-                    yield from rec(pos + 1)
+                    yield from rec(pos + 1, live)
                 undo(mark)
 
         queue: list[int] = []
         if all(examine(inst, queue) for inst in instances) and propagate(queue):
-            yield from rec(0)
+            yield from rec(0, relabelings)
 
     prunable = [law for law in spec.require if not law.constants and not _is_commutativity(law)]
-    yield from heapq.merge(*search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True))
+    relabelings = _relabelings(n) if spec.up_to_isomorphism else []
+    runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True, relabelings)
+    yield from heapq.merge(*runs)
 
 
 def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
@@ -288,45 +308,58 @@ def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _least(flat: bytes, bottom: Optional[int], top: Optional[int],
-           relabelings: list[tuple[list[int], list[int]]]) -> bool:
-    """Whether no relabeling comes before the table and bounds, by the order
-    of ``_relabeled``: the cells are compared one at a time up to the first
-    difference, and the bounds only when every cell ties."""
-    for sources, perm in relabelings:
-        for source, own in zip(sources, flat):
-            v = perm[flat[source]]
+def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Optional[list]:
+    """The relabelings of ``live`` that still tie with the partial table
+    (-1 where unknown), or None when one comes first.
+
+    Each relabeled cell is read in row-major order while it and its source
+    cell are known.  A first difference that is smaller means every
+    completion has a smaller relabeling; a larger one drops the relabeling;
+    a tie up to an unknown cell keeps it.  On a complete table the kept
+    relabelings are the automorphisms of its cells."""
+    kept = []
+    for relabeling in live:
+        sources, perm = relabeling
+        for source, own in zip(sources, table):
+            v = table[source]
+            if v < 0 or own < 0:
+                kept.append(relabeling)
+                break
+            v = perm[v]
             if v != own:
                 if v < own:
-                    return False
+                    return None
                 break
         else:
-            if bottom is not None and (perm[bottom], perm[top]) < (bottom, top):
-                return False
-    return True
+            kept.append(relabeling)
+    return kept
 
 
-def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid]:
+def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
+            build: bool = True) -> Iterator[Optional[Groupoid]]:
     """The models among complete tables, one table at a time: with bounds
-    each table is crossed with every bottom and top, under
-    ``up_to_isomorphism`` only the least member of each isomorphism class
-    is kept (Read's orderly generation), and the forbidden laws and the
-    required laws with constants filter.  The model set is closed under
-    relabeling, so the least member is the first of its class in the sorted
-    listing, and it can be told before the groupoid is built: each
-    relabeling other than the identity, read cell by cell in row-major
-    order, must not come first, with the bounds breaking a tie (see
-    ``_relabeled``).  Rows share equal tuples, and the cells lie in the
-    carrier by construction, so the groupoids are built unvalidated."""
+    each table is crossed with every bottom and top, and the forbidden laws
+    and the required laws with constants filter.  Each table comes with the
+    relabelings other than the identity that leave its cells as they are,
+    which the search finds under ``up_to_isomorphism`` (none otherwise); only
+    bounds that no automorphism maps to a smaller pair are kept, so each
+    isomorphism class keeps its least member (see ``_relabeled``).  Rows
+    share equal tuples, and the cells lie in the carrier by construction,
+    so the groupoids are built unvalidated.  Without ``build``, and with
+    nothing to check on a groupoid, each model is yielded as None."""
     n = spec.size
     carrier = Carrier.of_size(n)
     const_require = [law for law in spec.require if law.constants]
     bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
-    relabelings = _relabelings(n) if spec.up_to_isomorphism else []
+    build = build or bool(spec.forbid or const_require)
     rows_of: dict[bytes, tuple[int, ...]] = {}
-    for flat in tables:
-        kept = [(bottom, top) for bottom, top in bounds if _least(flat, bottom, top, relabelings)]
-        if not kept:
+    for flat, automorphisms in tables:
+        kept = bounds
+        if automorphisms and spec.with_bounds:
+            kept = [(bottom, top) for bottom, top in bounds
+                    if all((perm[bottom], perm[top]) >= (bottom, top) for _, perm in automorphisms)]
+        if not build:
+            yield from itertools.repeat(None, len(kept))
             continue
         rows = []
         for i in range(0, n * n, n):
@@ -344,13 +377,14 @@ def _models(spec: EnumerationSpec, tables: Iterable[bytes]) -> Iterator[Groupoid
             yield g
 
 
-def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
-    """The first ``spec.limit`` models of the listing, one at a time.  The
-    search adds its branching nodes and forced cells to ``result``, each
-    model adds one to ``result.count``, and the end of the stream sets
-    ``result.seconds``."""
+def _listing(spec: EnumerationSpec, result: EnumerationResult,
+             build: bool = True) -> Iterator[Optional[Groupoid]]:
+    """The first ``spec.limit`` models of the listing, one at a time (None
+    for a model that ``_models`` need not build).  The search adds its
+    branching nodes and forced cells to ``result``, each model adds one to
+    ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
-    for g in itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit):
+    for g in itertools.islice(_models(spec, _search_tables(spec, result), build), spec.limit):
         result.count += 1
         yield g
     result.seconds = time.perf_counter() - start
@@ -364,7 +398,7 @@ def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
 
 
 def count_models(spec: EnumerationSpec) -> int:
-    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0)))
+    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0), build=False))
 
 
 def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[Groupoid]:

@@ -121,9 +121,20 @@ class TestShefferCounts:
 
     @pytest.mark.slow
     def test_size_five_classes(self):
+        # the search cuts each subtree at the node where a smaller
+        # relabeling shows: 149,600 nodes, against 14,412,875 without --iso
+        classes = run_enumeration(spec_sheffer(5, up_to_isomorphism=True))
+        assert (classes.count, classes.nodes) == (30755, 149600)
         # the orbits of these classes under the 120 relabelings hold the
-        # 3,617,108 labelled models
-        assert count_models(spec_sheffer(5, up_to_isomorphism=True)) == 30755
+        # 3,617,108 labelled models, each once
+        perms = list(itertools.permutations(range(5)))
+        orbits = 0
+        for g in classes.groupoids:
+            t = g.table
+            automorphisms = sum(all(p[t[x][y]] == t[p[x]][p[y]] for x in range(5) for y in range(5))
+                                for p in perms)
+            orbits += len(perms) // automorphisms
+        assert orbits == 3617108
 
 
 class TestStreaming:
@@ -138,6 +149,21 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_count_builds_no_unchecked_models(self, monkeypatch):
+        # a count with nothing to check on a groupoid built all 5450
+        built = []
+        unchecked = Groupoid._unchecked
+        monkeypatch.setattr(search.Groupoid, "_unchecked",
+                            lambda *args: built.append(args) or unchecked(*args))
+        assert count_models(spec_sheffer(4)) == 5450
+        assert count_models(spec_sheffer(3, with_bounds=True, up_to_isomorphism=True)) == 80
+        assert run_cli(["enumerate", "-n", "4", "--require", "AX1,AX2", "--count"])[1] == "5450\n"
+        assert built == []
+        # a forbidden law or a law with constants is checked on the groupoid
+        assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
+        assert count_models(spec_sheffer(3, "BOUND0", with_bounds=True)) == 198
+        assert len(built) == 52 + 52 * 9
 
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB

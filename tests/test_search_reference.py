@@ -10,14 +10,16 @@ directedness once per (relation, involution) pair, and ``ref_involutions``
 the earlier recursive walk over period-two maps.  ``ref_least_member`` is
 the earlier per-model loop of ``up_to_isomorphism``, which built relabeled
 rows through ``_relabeled`` until one was smaller.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism``, ``_least``,
-``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
-forms, so the same isomorphism partition, the same representatives, the
-same verdicts, and the same systems and maps in the same order.
+reference that ``canonical_form``, ``up_to_isomorphism``, the node check
+``_narrow`` with the bounds tie-break of ``_models``, ``enumerate_drsi``
+and ``_involutions`` must agree with exactly: the same forms, so the same
+isomorphism partition, the same representatives, the same verdicts, and
+the same systems and maps in the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the table search as measured before its propagation step was made lighter;
-that change must leave the search tree as it was.
+that change must leave the search tree as it was.  ``ISO_SEARCH_TREES``
+pins the same figures up to isomorphism, where the search cuts subtrees.
 """
 
 import itertools
@@ -38,7 +40,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _involutions, _least, _parts, _relabeled, _relabelings
+from shefferkit.search import _involutions, _models, _narrow, _parts, _relabeled, _relabelings
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +213,107 @@ class TestIsomorphismClassesReference:
             limited = EnumerationSpec(**kw, up_to_isomorphism=True, limit=2)
             assert run_enumeration(limited).groupoids == want[:2], kw
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orbit_counting_below_size_four(self, n):
+        assert_orbit_sums(n)
+
     def test_orbit_counting_on_size_four(self):
-        # the orbits of the 270 classes under the 24 relabelings hold the
-        # 5450 labelled models, each once
-        classes = run_enumeration(EnumerationSpec(4, ("AX1", "AX2"), up_to_isomorphism=True))
-        perms = list(itertools.permutations(range(4)))
+        # e.g. the orbits of the 270 AX1,AX2 classes under the 24
+        # relabelings hold the 5450 labelled models, each once
+        assert_orbit_sums(4)
+
+
+def assert_orbit_sums(n):
+    """For each spec at size n, the orbits of its classes under the n!
+    relabelings, sized through the reference relabeling, hold every
+    labelled model once: the sum of n!/|Aut| over the classes is the
+    plain count."""
+    perms = list(itertools.permutations(range(n)))
+    for kw in iso_specs(n):
         orbits = 0
-        for g in classes.groupoids:
+        for g in run_enumeration(EnumerationSpec(**kw, up_to_isomorphism=True)).groupoids:
             own = ref_relabel_groupoid(g, perms[0])
             orbits += len(perms) // sum(ref_relabel_groupoid(g, p) == own for p in perms)
-        assert (len(classes.groupoids), orbits) == (270, 5450)
+        assert orbits == count_models(EnumerationSpec(**kw)), kw
+
+
+def kept_bounds(flat, n, relabelings, with_bounds):
+    """The (bottom, top) pairs under which the search and ``_models`` keep
+    the complete table as the least of its class."""
+    live = _narrow(flat, relabelings)
+    if live is None:
+        return set()
+    return {(g.bottom, g.top) for g in _models(EnumerationSpec(n, with_bounds=with_bounds),
+                                               [(bytes(flat), live)])}
+
+
+def universe(n):
+    """Every operation table of size n, flat."""
+    return itertools.product(range(n), repeat=n * n)
 
 
 class TestLeastMemberReference:
     def test_same_verdicts(self, sheffer_by_size):
+        # one relabeling at a time on the Sheffer models
         verdicts = set()
         for n, models in sheffer_by_size.items():
             inverses = list(itertools.permutations(range(n)))[1:]
             relabelings = _relabelings(n)
             assert len(relabelings) == len(inverses)
             for g in models:
-                flat = bytes(v for row in g.table for v in row)
-                for bottom, top in [(None, None), *itertools.product(range(n), repeat=2)]:
-                    bounded = Groupoid(g.carrier, g.table, bottom, top)
-                    for inv, one in zip(inverses, relabelings):
-                        got = _least(flat, bottom, top, [one])
-                        assert got == ref_least_member(bounded, [inv]), (bounded, inv)
+                flat = [v for row in g.table for v in row]
+                for inv, one in zip(inverses, relabelings):
+                    kept = kept_bounds(flat, n, [one], False) | kept_bounds(flat, n, [one], True)
+                    for bottom, top in [(None, None), *itertools.product(range(n), repeat=2)]:
+                        got = (bottom, top) in kept
+                        assert got == ref_least_member(Groupoid(g.carrier, g.table, bottom, top),
+                                                       [inv]), (g, bottom, top, inv)
                         verdicts.add(got)
-                    assert _least(flat, bottom, top, relabelings) == \
-                        ref_least_member(bounded, inverses), bounded
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_table_with_and_without_bounds(self, n):
+        carrier = Carrier.of_size(n)
+        inverses = list(itertools.permutations(range(n)))[1:]
+        relabelings = _relabelings(n)
+        for flat in universe(n):
+            table = tuple(flat[i:i + n] for i in range(0, n * n, n))
+            kept = kept_bounds(flat, n, relabelings, False) | \
+                kept_bounds(flat, n, relabelings, True)
+            least = ref_least_member(Groupoid._unchecked(carrier, table, None, None), inverses)
+            assert ((None, None) in kept) == least, table
+            # the reference compares cells before bounds, so a table whose
+            # cells are not least is not least under any bounds
+            for bottom, top in itertools.product(range(n), repeat=2):
+                want = least and ref_least_member(Groupoid._unchecked(carrier, table, bottom, top),
+                                                  inverses)
+                assert ((bottom, top) in kept) == want, (table, bottom, top)
+
+    def test_node_cuts_only_non_least_tables(self):
+        # the search knows the diagonal and then a row-major prefix; a cut
+        # there rejects every completion, and no relabeling that ties on
+        # the complete table is dropped on the way
+        n = 3
+        carrier = Carrier.of_size(n)
+        inverses = list(itertools.permutations(range(n)))[1:]
+        relabelings = _relabelings(n)
+        rest = [i * n + j for i in range(n) for j in range(n) if i != j]
+        cuts = 0
+        for flat in universe(n):
+            automorphisms = _narrow(flat, relabelings)
+            partial = [v if c % (n + 1) == 0 else -1 for c, v in enumerate(flat)]
+            for cell in [None, *rest]:
+                if cell is not None:
+                    partial[cell] = flat[cell]
+                live = _narrow(partial, relabelings)
+                if live is None:
+                    cuts += 1
+                    table = tuple(flat[i:i + n] for i in range(0, n * n, n))
+                    assert not ref_least_member(Groupoid._unchecked(carrier, table, None, None),
+                                                inverses), (table, partial)
+                    break
+                assert automorphisms is None or set(map(id, automorphisms)) <= set(map(id, live))
+        assert cuts
 
 
 # (count, nodes, forced) at n = 4 per required law set
@@ -263,6 +336,26 @@ SEARCH_TREES = {
 BOUNDED_SEARCH_TREES = {"BOUND0": (198, 177, 56), "BOUND1": (198, 177, 56), "COMPL": (0, 177, 56)}
 
 
+# (classes, nodes, forced) of the same specs up to isomorphism, where the
+# search cuts a subtree at the node where a smaller relabeling shows
+ISO_SEARCH_TREES = {
+    ("AX1", "AX2"): (270, 1804, 502),
+    ("AX1", "AX2", "COMM"): (6, 92, 57),
+    ("AX1", "AX2", "COMM", "COMM"): (6, 92, 57),
+    ("AX1", "AX2", "SYM7"): (35, 288, 208),
+    ("AX1", "AX2", "SYM7", "COMM"): (0, 48, 35),
+    ("AX1", "AX2", "TRANS8"): (43, 580, 311),
+    ("AX1", "AX2", "TRANS8", "COMM"): (3, 72, 66),
+    ("AX1", "AX2", "CD3"): (6, 116, 123),
+    ("AX1", "AX2", "CD3", "COMM"): (6, 92, 57),
+    ("AX1", "AX2", "CD9"): (40, 448, 309),
+    ("AX1", "AX2", "CD9", "COMM"): (6, 92, 57),
+    ("AX1", "AX2", "ANTISYM"): (24, 480, 223),
+    ("AX1", "AX2", "ANTISYM", "COMM"): (6, 92, 57),
+}
+ISO_BOUNDED_SEARCH_TREES = {"BOUND0": (35, 57, 24), "BOUND1": (35, 57, 24), "COMPL": (0, 57, 24)}
+
+
 class TestSearchTreePins:
     @pytest.mark.parametrize("laws", list(dict.fromkeys(laws + comm for laws in SHEFFER_LAW_SETS
                                                         for comm in ((), ("COMM",)))), ids=",".join)
@@ -274,6 +367,19 @@ class TestSearchTreePins:
     def test_size_three_with_bounds(self, key):
         result = run_enumeration(EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True))
         assert (result.count, result.nodes, result.forced) == BOUNDED_SEARCH_TREES[key]
+
+    @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
+    def test_size_four_up_to_isomorphism(self, laws):
+        result = run_enumeration(EnumerationSpec(4, laws, up_to_isomorphism=True))
+        assert (result.count, result.nodes, result.forced) == ISO_SEARCH_TREES[laws]
+        assert result.nodes <= SEARCH_TREES[laws][1]
+
+    @pytest.mark.parametrize("key", sorted(ISO_BOUNDED_SEARCH_TREES))
+    def test_size_three_with_bounds_up_to_isomorphism(self, key):
+        spec = EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True, up_to_isomorphism=True)
+        result = run_enumeration(spec)
+        assert (result.count, result.nodes, result.forced) == ISO_BOUNDED_SEARCH_TREES[key]
+        assert result.nodes <= BOUNDED_SEARCH_TREES[key][1]
 
 
 class TestDrsiEnumerationReference:
