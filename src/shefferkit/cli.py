@@ -179,6 +179,14 @@ def parse_system_file(text: str) -> RelationalSystem:
                             involution, bottom, top)
 
 
+def _bounds_lines(model) -> list[str]:
+    """The ``bounds`` line of a system or groupoid, if it has bounds."""
+    if (model.bottom is None) != (model.top is None):
+        raise ValueError("a file holds both bounds or neither; got only one")
+    names = model.carrier.names
+    return [] if model.top is None else [f"bounds {names[model.bottom]} {names[model.top]}"]
+
+
 def format_system_file(sys: RelationalSystem) -> str:
     n = sys.carrier.size
     names = sys.carrier.names
@@ -187,8 +195,7 @@ def format_system_file(sys: RelationalSystem) -> str:
         lines.append(" ".join("1" if sys.relation.has(i, j) else "0" for j in range(n)))
     if sys.involution is not None:
         lines.append("involution " + " ".join(names[sys.involution(i)] for i in range(n)))
-    if sys.bottom is not None and sys.top is not None:
-        lines.append(f"bounds {names[sys.bottom]} {names[sys.top]}")
+    lines.extend(_bounds_lines(sys))
     return "\n".join(lines) + "\n"
 
 
@@ -213,8 +220,7 @@ def format_groupoid_file(g: Groupoid) -> str:
     lines = ["groupoid", "elements " + " ".join(names), "table"]
     for row in g.table:
         lines.append(" ".join(names[v] for v in row))
-    if g.bottom is not None and g.top is not None:
-        lines.append(f"bounds {names[g.bottom]} {names[g.top]}")
+    lines.extend(_bounds_lines(g))
     return "\n".join(lines) + "\n"
 
 
@@ -451,12 +457,7 @@ def cmd_quotient(args) -> int:
     g = _load_groupoid(args.groupoid)
     dst_sys = _load_system(args.dstsys)
     f = parse_map_file(_read(args.map), g.carrier, dst_sys.carrier)
-    try:
-        out = induced_image_operation(g, f, dst_sys)
-    except HypothesisError as exc:
-        print("error:", exc, file=_sys.stderr)
-        return 1
-    _emit(format_groupoid_file(out), args)
+    _emit(format_groupoid_file(induced_image_operation(g, f, dst_sys)), args)
     return 0
 
 
@@ -623,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place where errors become exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -631,7 +633,8 @@ def main(argv=None) -> int:
         # str() of a KeyError quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print("error:", message, file=_sys.stderr)
-        return 2
+        # a failed transfer hypothesis is a clean negative, not bad input
+        return 1 if isinstance(exc, HypothesisError) else 2
 
 
 if __name__ == "__main__":

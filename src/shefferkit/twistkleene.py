@@ -20,6 +20,7 @@ from .relcore import (
     RelationalSystem,
     Verdict,
     _check_index,
+    _first_witness,
     _involution_of,
     bits_of,
     is_directed,
@@ -132,16 +133,20 @@ def embed_base(sys: RelationalSystem, a: int) -> tuple[ElementMap, Verdict]:
 def _cone_check(sys: RelationalSystem, members, reason: str) -> Verdict:
     """Fails at the first (x, y, z, w) over members x, y with z in
     L(x, x'), w in U(y, y') and (z, w) unrelated."""
-    rel = sys.relation
+    rows = sys.relation.rows
     u = sys.involution
-    lowers = [rel.lower_mask(x, u(x)) for x in members]
-    uppers = [rel.upper_mask(y, u(y)) for y in members]
-    for x, lower in zip(members, lowers):
+    uppers = [sys.relation.upper_mask(y, u(y)) for y in members]
+    for x in members:
+        lower = sys.relation.lower_mask(x, u(x))
+        # the elements above every z in L(x, x'): each U(y, y') must lie inside
+        common = (1 << sys.carrier.size) - 1
+        for z in bits_of(lower):
+            common &= rows[z]
         for y, upper in zip(members, uppers):
-            for z in bits_of(lower):
-                gap = upper & ~rel.rows[z]
-                if gap:
-                    return Verdict(False, (x, y, z, (gap & -gap).bit_length() - 1), reason)
+            if upper & ~common:
+                zs = tuple(bits_of(lower))
+                i, w = _first_witness(upper & ~rows[z] for z in zs)
+                return Verdict(False, (x, y, zs[i], w), reason)
     return Verdict(True)
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: golden outputs, exit codes, and the file formats."""
 
+import dataclasses
+
 import pytest
 
 from conftest import CLI_CORPUS, DATA, GOLDEN, check_cli_corpus, run_cli
@@ -229,6 +231,17 @@ class TestFileFormats:
                 "b b\nb a\n")
         g = parse_groupoid_file(text)
         assert g.table == ((1, 1), (1, 0))
+
+    @pytest.mark.parametrize("bottom,top", [(0, None), (None, 1)])
+    def test_lone_bound_is_refused(self, bottom, top):
+        # the grammar has one bounds line with two names; writing none would
+        # parse back as a different model
+        sys = parse_system_file((DATA / "chain2.sys").read_text())
+        g = parse_groupoid_file((DATA / "ex1.grp").read_text())
+        with pytest.raises(ValueError, match="both bounds or neither"):
+            format_system_file(dataclasses.replace(sys, bottom=bottom, top=top))
+        with pytest.raises(ValueError, match="both bounds or neither"):
+            format_groupoid_file(dataclasses.replace(g, bottom=bottom, top=top))
 
     def test_induce_assign_file_level_roundtrip(self):
         # operation -> file -> system -> file -> operation reproduces bytes

@@ -1,13 +1,20 @@
-"""The directedness and involution checks against the scans they replaced.
+"""The relational checks against the scans they replaced.
 
 ``ref_is_directed`` and ``ref_check_involution`` are copies of the earlier
 pair scans: the cone test at every pair, and the antitone test over
-``pairs()`` and ``has()``.  The mask-based checks must return the same
-``Verdict`` (holds, witness and reason) for every relation and every
-self-map on carriers of at most three elements.
+``pairs()`` and ``has()``.  ``ref_relation_properties``,
+``ref_check_bounded``, ``ref_reflexive``, ``ref_check_complemented`` and
+``ref_is_kleene`` are copies
+of the per-pair loops that the first-witness bit scan replaced.  The
+mask-based checks must return the same verdicts and reports, witnesses
+included, for every relation (and every self-map, every pair of bounds)
+on carriers of at most three elements, and on seeded random relations of
+up to nine elements.
 """
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -15,10 +22,17 @@ from shefferkit import (
     BinaryRelation,
     Carrier,
     ElementMap,
+    PropertyReport,
     RelationalSystem,
     Verdict,
+    bits_of,
+    check_bounded,
+    check_complemented,
     check_involution,
     is_directed,
+    is_kleene,
+    relation_properties,
+    validate_drsi,
 )
 
 
@@ -45,6 +59,136 @@ def ref_check_involution(sys, u):
     return Verdict(True)
 
 
+def ref_relation_properties(rel):
+    n = rel.carrier.size
+    witnesses = {}
+
+    reflexive = True
+    for x in range(n):
+        if not rel.has(x, x):
+            reflexive = False
+            witnesses["reflexive"] = (x,)
+            break
+
+    symmetric = True
+    for x in range(n):
+        if not symmetric:
+            break
+        for y in bits_of(rel.rows[x]):
+            if not rel.has(y, x):
+                symmetric = False
+                witnesses["symmetric"] = (x, y)
+                break
+
+    antisymmetric = True
+    for x in range(n):
+        if not antisymmetric:
+            break
+        for y in bits_of(rel.rows[x]):
+            if x != y and rel.has(y, x):
+                antisymmetric = False
+                witnesses["antisymmetric"] = (x, y)
+                break
+
+    transitive = True
+    for x in range(n):
+        if not transitive:
+            break
+        for y in bits_of(rel.rows[x]):
+            gap = rel.rows[y] & ~rel.rows[x]
+            if gap:
+                z = (gap & -gap).bit_length() - 1
+                transitive = False
+                witnesses["transitive"] = (x, y, z)
+                break
+
+    return PropertyReport(reflexive, symmetric, antisymmetric, transitive, witnesses)
+
+
+def ref_check_bounded(sys):
+    rel = sys.relation
+    for x in range(sys.carrier.size):
+        if not rel.has(sys.bottom, x):
+            return Verdict(False, (sys.bottom, x), "bottom not below element")
+    for x in range(sys.carrier.size):
+        if not rel.has(x, sys.top):
+            return Verdict(False, (x, sys.top), "element not below top")
+    return Verdict(True)
+
+
+def ref_reflexive(sys):
+    for x in range(sys.carrier.size):
+        if not sys.relation.has(x, x):
+            return Verdict(False, (x,), "missing loop")
+    return Verdict(True)
+
+
+def ref_check_complemented(sys):
+    u = sys.involution
+    bounded = ref_check_bounded(sys)
+    if not bounded:
+        return Verdict(False, bounded.witness, "not bounded: " + bounded.reason)
+    if u(sys.bottom) != sys.top:
+        return Verdict(False, (sys.bottom,), "bottom' is not top")
+    rel = sys.relation
+    top_mask = 1 << sys.top
+    bottom_mask = 1 << sys.bottom
+    for x in range(sys.carrier.size):
+        if rel.upper_mask(x, u(x)) != top_mask:
+            return Verdict(False, (x,), "U(x, x') differs from {top}")
+    for x in range(sys.carrier.size):
+        if rel.lower_mask(x, u(x)) != bottom_mask:
+            return Verdict(False, (x,), "L(x, x') differs from {bottom}")
+    return Verdict(True)
+
+
+def ref_is_kleene(sys):
+    rel = sys.relation
+    u = sys.involution
+    members = range(sys.carrier.size)
+    lowers = [rel.lower_mask(x, u(x)) for x in members]
+    uppers = [rel.upper_mask(y, u(y)) for y in members]
+    for x, lower in zip(members, lowers):
+        for y, upper in zip(members, uppers):
+            for z in bits_of(lower):
+                gap = upper & ~rel.rows[z]
+                if gap:
+                    return Verdict(False, (x, y, z, (gap & -gap).bit_length() - 1),
+                                   "L(x, x') not wholly below U(y, y')")
+    return Verdict(True)
+
+
+def all_relations(n):
+    car = Carrier.of_size(n)
+    for mask in range(1 << n * n):
+        rows = tuple(mask >> (i * n) & ((1 << n) - 1) for i in range(n))
+        yield BinaryRelation(car, rows)
+
+
+def random_relations(seed, count, max_size=9):
+    """Relations of 1..max_size elements at mixed densities, half of them with
+    every loop added, so that each property both holds and fails."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_size)
+        density = rng.choice((0.1, 0.5, 0.9, 0.97))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        if rng.random() < 0.5:
+            rows = [row | 1 << i for i, row in enumerate(rows)]
+        yield BinaryRelation(Carrier.of_size(n), tuple(rows))
+
+
+def assert_relation_scans_agree(rel):
+    """Properties, reflexive verdict, and bounds at every (bottom, top) pair."""
+    assert relation_properties(rel) == ref_relation_properties(rel), rel.rows
+    car = rel.carrier
+    sys = RelationalSystem(car, rel, ElementMap.identity(car))
+    assert validate_drsi(sys).reflexive == ref_reflexive(sys), rel.rows
+    for bottom, top in itertools.product(range(car.size), repeat=2):
+        bounded = dataclasses.replace(sys, bottom=bottom, top=top)
+        assert check_bounded(bounded) == ref_check_bounded(bounded), (rel.rows, bottom, top)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_relation_and_self_map(n):
     car = Carrier.of_size(n)
@@ -60,3 +204,46 @@ def test_every_relation_and_self_map(n):
             antitone += verdict.holds
     # from two elements on, the comparison reaches both outcomes
     assert n == 1 or 0 < antitone < (1 << n * n) * len(maps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kleene_on_every_relation_and_self_map(n):
+    car = Carrier.of_size(n)
+    maps = [ElementMap(car, car, image) for image in itertools.product(range(n), repeat=n)]
+    for rel in all_relations(n):
+        for u in maps:
+            sys = RelationalSystem(car, rel, u)
+            assert is_kleene(sys) == ref_is_kleene(sys), (rel.rows, u.image)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complemented_on_every_relation_involution_and_bounds(n):
+    car = Carrier.of_size(n)
+    involutions = [ElementMap(car, car, image) for image in itertools.product(range(n), repeat=n)
+                   if all(image[image[x]] == x for x in range(n))]
+    outcomes = set()
+    for rel in all_relations(n):
+        for u in involutions:
+            for bottom, top in itertools.product(range(n), repeat=2):
+                sys = RelationalSystem(car, rel, u, bottom, top)
+                verdict = check_complemented(sys)
+                assert verdict == ref_check_complemented(sys), (rel.rows, u.image, bottom, top)
+                outcomes.add(verdict.reason)
+    # from two elements on, every outcome but the L(x, x') cross-check is reached;
+    # that one follows from the others, so it never fails first
+    assert n == 1 or len(outcomes) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_scans_on_every_small_relation(n):
+    for rel in all_relations(n):
+        assert_relation_scans_agree(rel)
+
+
+def test_relation_scans_on_random_relations():
+    flags = set()
+    for rel in random_relations(seed=20211, count=1500):
+        assert_relation_scans_agree(rel)
+        flags.add(tuple(relation_properties(rel)))
+    # every flag is seen both true and false
+    assert all({flag[i] for flag in flags} == {True, False} for i in range(4))
