@@ -17,6 +17,7 @@ from .relcore import (
     BinaryRelation,
     RelationalSystem,
     Verdict,
+    _cone_pairs,
     _involution_of,
     _require_drsi,
     bits_of,
@@ -224,17 +225,12 @@ def coincidence_pairs(g: Groupoid) -> frozenset[tuple[int, int]]:
 def _least_upper_bounds(rel: BinaryRelation, names: tuple[str, ...], bound: str) -> list[list[int]]:
     """The least upper bound of every pair; on the transposed order these
     are the greatest lower bounds, and ``bound`` names which in the error."""
-    n = len(names)
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            mask = rel.upper_mask(a, b)
-            found = [u for u in bits_of(mask) if rel.rows[u] & mask == mask]
-            if len(found) != 1:
-                raise ValueError(f"no unique {bound} for pair ({names[a]}, {names[b]})")
-            row.append(found[0])
-        out.append(row)
+    out = [[0] * len(names) for _ in names]
+    for a, b, mask, _ in _cone_pairs(rel):
+        found = [u for u in bits_of(mask) if rel.rows[u] & mask == mask]
+        if len(found) != 1:
+            raise ValueError(f"no unique {bound} for pair ({names[a]}, {names[b]})")
+        out[a][b] = out[b][a] = found[0]
     return out
 
 

@@ -440,6 +440,10 @@ def cmd_hom(args) -> int:
         f = parse_map_file(_read(args.map), src.carrier, dst.carrier)
         # the one map check for both kinds, so it rejects --strong with groupoids too
         v = _first_failure(src, dst, f, args.strong)
+        if v.holds and args.injective and not f.is_injective():
+            v = Verdict(False, None, "not injective")
+        elif v.holds and args.surjective and not f.is_surjective():
+            v = Verdict(False, None, "not surjective")
         print(_verdict_line("homomorphism", v, src.carrier))
         return 0 if v.holds else 1
     count = 0

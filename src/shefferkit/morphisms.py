@@ -39,8 +39,8 @@ def _first_occurrence_ids(labels) -> tuple[int, ...]:
 class EquivalenceRelation:
     """Partition of a carrier into blocks, stored as dense block ids.
 
-    Ids are required to appear in first-occurrence order, so equal
-    partitions compare equal.
+    Ids are required to count up from 0 in first-occurrence order, so
+    equal partitions compare equal.
     """
 
     carrier: Carrier
@@ -52,12 +52,10 @@ class EquivalenceRelation:
             raise ValueError("block ids do not cover the carrier")
         top = 0
         for b in self.block_ids:
-            if b > top:
-                raise ValueError("block ids must appear in first-occurrence order")
+            if not 0 <= b <= top:
+                raise ValueError("block ids must be at least 0, in first-occurrence order")
             if b == top:
                 top += 1
-        if top == 0:
-            raise ValueError("partition must have at least one block")
 
     @classmethod
     def from_blocks(cls, carrier: Carrier, blocks) -> "EquivalenceRelation":

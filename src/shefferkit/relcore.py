@@ -306,23 +306,37 @@ def relation_properties(rel: BinaryRelation) -> PropertyReport:
     return PropertyReport(not loop, not unmatched, not mutual, not detour, witnesses)
 
 
+def _cone_pairs(rel: BinaryRelation) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, U(a, b), L(a, b)) as masks for each a <= b, in row-major order.
+    Both cones are symmetric in a and b, so a cone condition that first fails
+    in row-major order over all pairs first fails at some a <= b."""
+    rows, cols = rel.rows, rel._columns
+    for a, (row, col) in enumerate(zip(rows, cols)):
+        for b in range(a, len(rows)):
+            yield a, b, row & rows[b], col & cols[b]
+
+
 def is_directed(sys: RelationalSystem) -> Verdict:
     """Every pair needs a common upper and a common lower bound.
 
     For systems with an antitone involution one cone condition implies the
-    other; both are still scanned here rather than optimized away.  Cones
-    are symmetric in their arguments, so the first failing pair in
-    row-major order has a <= b and only those pairs are scanned.
+    other; both are still scanned here rather than optimized away.
     """
-    rows, cols = sys.relation.rows, sys.relation._columns
-    n = sys.carrier.size
-    for a in range(n):
-        for b in range(a, n):
-            if not rows[a] & rows[b]:
-                return Verdict(False, (a, b), "upper cone empty")
-            if not cols[a] & cols[b]:
-                return Verdict(False, (a, b), "lower cone empty")
+    for a, b, upper, lower in _cone_pairs(sys.relation):
+        if not upper or not lower:
+            return Verdict(False, (a, b), "lower cone empty" if upper else "upper cone empty")
     return Verdict(True)
+
+
+def _antitone_gap(rel: BinaryRelation, image: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The first related (x, y) with u(y), u(x) unrelated, for a period-two u; or None."""
+    rows, cols = rel.rows, rel._columns
+    # y must lie in the u-image of column u(x); a plain loop, as a generator measured slower
+    for x, ux in enumerate(image):
+        bad = rows[x] & ~_image_mask(image, cols[ux])
+        if bad:
+            return x, (bad & -bad).bit_length() - 1
+    return None
 
 
 def check_involution(sys: RelationalSystem, u: ElementMap) -> Verdict:
@@ -333,14 +347,8 @@ def check_involution(sys: RelationalSystem, u: ElementMap) -> Verdict:
     for x, y in enumerate(image):
         if image[y] != x:
             return Verdict(False, (x,), "not of period two")
-    # x R y needs u(y) R u(x): y must lie in the u-image of column u(x)
-    rows, cols = sys.relation.rows, sys.relation._columns
-    # a plain loop, no generator: enumerate_drsi makes ~15,000 calls on 4-element systems
-    for x, ux in enumerate(image):
-        bad = rows[x] & ~_image_mask(image, cols[ux])
-        if bad:
-            return Verdict(False, (x, (bad & -bad).bit_length() - 1), "not antitone")
-    return Verdict(True)
+    gap = _antitone_gap(sys.relation, image)
+    return Verdict(False, gap, "not antitone") if gap else Verdict(True)
 
 
 def _image_mask(image: tuple[int, ...], mask: int) -> int:
@@ -369,10 +377,9 @@ def _cone_duality(sys: RelationalSystem) -> Verdict:
     """Every lower cone L(a, b) is the involution image of U(a', b')."""
     rel = sys.relation
     image = sys.involution.image
-    for a in range(sys.carrier.size):
-        for b in range(sys.carrier.size):
-            if rel.lower_mask(a, b) != _image_mask(image, rel.upper_mask(image[a], image[b])):
-                return Verdict(False, (a, b), "lower cone is not the primed upper cone")
+    for a, b, _, lower in _cone_pairs(rel):
+        if lower != _image_mask(image, rel.upper_mask(image[a], image[b])):
+            return Verdict(False, (a, b), "lower cone is not the primed upper cone")
     return Verdict(True)
 
 

@@ -36,7 +36,7 @@ from .relcore import (
     Carrier,
     ElementMap,
     RelationalSystem,
-    check_involution,
+    _antitone_gap,
     is_directed,
 )
 from .sheffer import Groupoid, get_law
@@ -426,20 +426,15 @@ def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:
     if not 1 <= n <= MAX_DRSI_SIZE:
         raise ValueError(f"system enumeration size must be in 1..{MAX_DRSI_SIZE}")
     carrier = Carrier.of_size(n)
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     involutions = [ElementMap(carrier, carrier, image) for image in _involutions(n)]
-    for mask in range(1 << len(off_diag)):
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(off_diag):
-            if mask >> k & 1:
-                rows[i] |= 1 << j
-        relation = BinaryRelation(carrier, tuple(rows))
-        bare = RelationalSystem(carrier, relation)
-        if not is_directed(bare).holds:
-            continue
-        for u in involutions:
-            if check_involution(bare, u).holds:
-                yield RelationalSystem(carrier, relation, u)
+    # row i always holds bit i, and row 0 varies fastest: the ascending off-diagonal order
+    choices = [[row for row in range(1 << n) if row >> i & 1] for i in reversed(range(n))]
+    for rows in itertools.product(*choices):
+        relation = BinaryRelation(carrier, rows[::-1])
+        if is_directed(RelationalSystem(carrier, relation)).holds:
+            for u in involutions:
+                if _antitone_gap(relation, u.image) is None:
+                    yield RelationalSystem(carrier, relation, u)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .relcore import (
     RelationalSystem,
     Verdict,
     _check_index,
+    _cone_pairs,
     _first_witness,
     _involution_of,
     bits_of,
@@ -167,13 +168,10 @@ def p_a_subset(sys: RelationalSystem, a: int) -> frozenset[int]:
     n = sys.carrier.size
     below_a = rel.column(a)
     above_a = rel.rows[a]
-    members = []
-    for x in range(n):
-        for y in range(n):
-            lm = rel.lower_mask(x, y)
-            um = rel.upper_mask(x, y)
-            if lm & ~below_a == 0 and um & ~above_a == 0:
-                members.append(x * n + y)
+    members = set()
+    for x, y, upper, lower in _cone_pairs(rel):
+        if lower & ~below_a == 0 and upper & ~above_a == 0:
+            members.update((x * n + y, y * n + x))
     return frozenset(members)
 
 

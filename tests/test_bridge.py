@@ -1,5 +1,6 @@
 """Induced systems, assignment spaces, choice policies, and the round trip."""
 
+import dataclasses
 import itertools
 import random
 
@@ -268,6 +269,12 @@ class TestLatticeSheffer:
             lattice_sheffer(order, "join")
         with pytest.raises(ValueError, match=r"no unique greatest lower bound for pair \(e0, e1\)"):
             lattice_sheffer(order, "meet")
+
+    def test_rejects_involution_that_is_not_antitone(self, chain2):
+        order = dataclasses.replace(chain2, involution=ElementMap.identity(chain2.carrier))
+        with pytest.raises(ValueError,
+                           match=r"^involution check fails: not antitone at \(0, 1\)$"):
+            lattice_sheffer(order, "join")
 
     def test_rejects_order_without_involution(self, chain3_plain):
         with pytest.raises(ValueError, match=r"^system has no involution$"):

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, exit codes, and the file formats."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -24,6 +25,7 @@ ERROR_CASES = [
     (["check", "named", "BOUND0", "tests/data/ex1.grp"], "designated bounds"),
     (["assign", "--policy", "rand:zz", "tests/data/ex1.sys"], "bad seed"),
     (["assign", "tests/data/chain3.sys"], "no involution"),
+    (["assign", "--policy", "bogus", "tests/data/ex1.sys"], "unknown policy"),
     (["induce", "tests/data/lproj.grp"], "AX2 fails"),
     (["twist-op", "tests/data/lproj.grp"], "not a Sheffer"),
     (["enumerate", "-n", "9"], "must be in 1..5"),
@@ -86,6 +88,30 @@ class TestErrorPaths:
         code, out, err = run_cli(["hom", "--groupoid", "--map", str(identity),
                                   "tests/data/ex1.grp", "tests/data/ex1.grp"])
         assert (code, out, err) == (0, "homomorphism: yes\n", "")
+
+    @pytest.mark.parametrize("flag,reason", [("--surjective", "not surjective"),
+                                             ("--injective", "not injective")])
+    def test_map_check_honours_the_modes(self, no_search, flag, reason):
+        # the constant map of the full 2-element relation passes every condition
+        argv = ["hom", "--map", "tests/data/const2.map", "tests/data/full2.sys",
+                "tests/data/full2.sys"]
+        assert run_cli(argv) == (0, "homomorphism: yes\n", "")
+        assert run_cli(argv[:3] + [flag] + argv[3:]) == (1, f"homomorphism: no ({reason})\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--injective"], ["--surjective"],
+                                       ["--injective", "--surjective"]])
+    def test_map_check_agrees_with_the_search(self, tmp_path, flags):
+        systems = ["tests/data/full2.sys", "tests/data/chain2.sys"]
+        for src, dst in itertools.product(systems, repeat=2):
+            _code, listing, _err = run_cli(["hom", *flags, src, dst])
+            names = "ab" if src.endswith("full2.sys") else "01"
+            targets = "ab" if dst.endswith("full2.sys") else "01"
+            for image in itertools.product(targets, repeat=2):
+                path = tmp_path / "f.map"
+                path.write_text("map\nimages " + " ".join(image) + "\n")
+                code, _out, err = run_cli(["hom", *flags, "--map", str(path), src, dst])
+                arrows = " ".join(f"{x}->{y}" for x, y in zip(names, image))
+                assert (code == 0, err) == (f": {arrows}\n" in listing, ""), (src, dst, image)
 
     def test_key_error_message_is_not_requoted(self):
         code, out, err = run_cli(["check", "named", "FOO", "tests/data/ex1.grp"])

@@ -1,5 +1,6 @@
 """Homomorphisms, congruences, quotients, and transfer between the two views."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -65,6 +66,12 @@ class TestEquivalence:
         car = Carrier.of_size(2)
         with pytest.raises(ValueError, match="first-occurrence"):
             EquivalenceRelation(car, (1, 0))
+
+    @pytest.mark.parametrize("ids", [(0, -1, 1), (0, -1, -1), (-1, 0, 0)])
+    def test_negative_ids_are_refused(self, ids):
+        # (0, -1, 1) would list blocks (0,) and (1, 2) while 1 and 2 are unrelated
+        with pytest.raises(ValueError, match="at least 0"):
+            EquivalenceRelation(Carrier.of_size(3), ids)
 
     def test_kernel(self):
         car = Carrier.of_size(3)
@@ -221,6 +228,11 @@ class TestCongruence:
         assert is_congruence(ex1, diag).holds
         assert is_congruence(ex1, whole).holds
 
+    def test_partition_of_another_carrier(self, ex1):
+        eq = EquivalenceRelation(Carrier.of_size(3), (0, 0, 1))
+        with pytest.raises(ValueError, match="^partition carrier differs from groupoid carrier$"):
+            is_congruence(ex1, eq)
+
 
 class TestInducedImage:
     def test_example_quotient(self, ex1, quotient_target):
@@ -291,6 +303,12 @@ class TestBoundedAssignments:
     def test_requires_bounds(self, ex1_system):
         with pytest.raises(ValueError):
             bounded_top_assignment(ex1_system)
+
+    def test_swapped_bounds_are_refused(self, chain2):
+        swapped = dataclasses.replace(chain2, bottom=1, top=0)
+        with pytest.raises(ValueError, match=r"^system is not bounded: bottom not below "
+                                             r"element at \(1, 0\)$"):
+            bounded_top_assignment(swapped)
 
     def test_verify_identity(self, chain2, bool4):
         for sys in (chain2, bool4):

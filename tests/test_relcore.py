@@ -91,6 +91,17 @@ class TestBinaryRelation:
         with pytest.raises(ValueError, match=r"^matrix row 2 has 4 cells, expected 3$"):
             BinaryRelation.from_matrix(car, [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]])
 
+    def test_rows_must_cover_the_carrier(self):
+        car = Carrier.of_size(3)
+        with pytest.raises(ValueError, match=r"^expected 3 rows, got 2$"):
+            BinaryRelation(car, (0b1, 0b10))
+        with pytest.raises(ValueError, match=r"^row 2 has bits outside the carrier$"):
+            BinaryRelation(car, (0b1, 0b10, 0b1000))
+
+    def test_matrix_cells_are_bits(self):
+        with pytest.raises(ValueError, match=r"^matrix cells must be 0 or 1, got 2$"):
+            BinaryRelation.from_matrix(Carrier.of_size(2), [[1, 2], [0, 1]])
+
     def test_list_rows_become_a_tuple(self):
         car = Carrier.of_size(2)
         rel = BinaryRelation(car, [0b11, 0b10])
@@ -106,6 +117,22 @@ class TestElementMap:
         assert f.image == (2, 1, 0)
         assert f == ElementMap(car, car, (2, 1, 0))
         assert hash(f) == hash(ElementMap(car, car, (2, 1, 0)))
+
+    def test_short_image_is_refused(self):
+        car = Carrier.of_size(3)
+        with pytest.raises(ValueError, match=r"^image tuple does not cover the domain$"):
+            ElementMap(car, car, (0, 1))
+
+
+class TestRelationalSystem:
+    def test_parts_live_on_the_system_carrier(self):
+        car, other = Carrier.of_size(3), Carrier.of_size(2)
+        with pytest.raises(ValueError, match=r"^relation carrier differs from system carrier$"):
+            RelationalSystem(car, BinaryRelation.full(other))
+        full = BinaryRelation.full(car)
+        for u in (ElementMap.identity(other), ElementMap(car, other, (0, 0, 0))):
+            with pytest.raises(ValueError, match="^involution must be a self-map"):
+                RelationalSystem(car, full, u)
 
 
 class TestCones:
@@ -241,6 +268,14 @@ class TestValidateDrsi:
         assert not rep.passed
         assert rep.reflexive.witness == (1,)
 
+    def test_report_truth_is_passed(self, chain2):
+        assert bool(validate_drsi(chain2)) is True
+        # a directedness failure alone makes the whole report false
+        split = dataclasses.replace(chain2, relation=BinaryRelation.diagonal(chain2.carrier))
+        report = validate_drsi(split)
+        assert report.reflexive.holds and report.involution.holds
+        assert bool(report) is False
+
     def test_requires_involution(self, chain3_plain):
         with pytest.raises(ValueError):
             validate_drsi(chain3_plain)
@@ -271,6 +306,14 @@ class TestBoundsChecks:
 
     def test_chain_complemented(self, chain2):
         assert check_complemented(chain2).holds
+
+    def test_lower_cross_check_under_a_constant_map(self):
+        # bounded, bottom' = top and every U(x, x') = {top}; only L(0, 0) is too big
+        car = Carrier.of_size(3)
+        sys = RelationalSystem(car, BinaryRelation(car, (1, 1, 7)),
+                               ElementMap(car, car, (0, 0, 0)), bottom=2, top=0)
+        v = check_complemented(sys)
+        assert (v.holds, v.witness, v.reason) == (False, (0,), "L(x, x') differs from {bottom}")
 
 
 class TestSetRelated:

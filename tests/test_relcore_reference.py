@@ -5,7 +5,10 @@ pair scans: the cone test at every pair, and the antitone test over
 ``pairs()`` and ``has()``.  ``ref_relation_properties``,
 ``ref_check_bounded``, ``ref_reflexive``, ``ref_check_complemented`` and
 ``ref_is_kleene`` are copies
-of the per-pair loops that the first-witness bit scan replaced.  The
+of the per-pair loops that the first-witness bit scan replaced.
+``ref_cone_duality``, ``ref_p_a_subset`` and ``ref_least_upper_bounds`` are
+copies of the loops over all n * n pairs that the one scan over pairs
+a <= b (``relcore._cone_pairs``) replaced.  The
 mask-based checks must return the same verdicts and reports, witnesses
 included, for every relation (and every self-map, every pair of bounds)
 on carriers of at most three elements, and on seeded random relations of
@@ -21,7 +24,9 @@ import pytest
 from shefferkit import (
     BinaryRelation,
     Carrier,
+    DrsiReport,
     ElementMap,
+    Groupoid,
     PropertyReport,
     RelationalSystem,
     Verdict,
@@ -31,9 +36,13 @@ from shefferkit import (
     check_involution,
     is_directed,
     is_kleene,
+    lattice_sheffer,
+    p_a_subset,
     relation_properties,
+    twist_product,
     validate_drsi,
 )
+import shefferkit.bridge as bridge
 
 
 def ref_is_directed(sys):
@@ -158,6 +167,66 @@ def ref_is_kleene(sys):
     return Verdict(True)
 
 
+def ref_image_mask(image, mask):
+    out = 0
+    for x in bits_of(mask):
+        out |= 1 << image[x]
+    return out
+
+
+def ref_cone_duality(sys):
+    rel = sys.relation
+    image = sys.involution.image
+    for a in range(sys.carrier.size):
+        for b in range(sys.carrier.size):
+            if rel.lower_mask(a, b) != ref_image_mask(image, rel.upper_mask(image[a], image[b])):
+                return Verdict(False, (a, b), "lower cone is not the primed upper cone")
+    return Verdict(True)
+
+
+def ref_validate_drsi(sys):
+    return DrsiReport(ref_reflexive(sys), ref_is_directed(sys),
+                      ref_check_involution(sys, sys.involution), ref_cone_duality(sys))
+
+
+def ref_p_a_subset(sys, a):
+    rel = sys.relation
+    n = sys.carrier.size
+    below_a = rel.column(a)
+    above_a = rel.rows[a]
+    members = []
+    for x in range(n):
+        for y in range(n):
+            lm = rel.lower_mask(x, y)
+            um = rel.upper_mask(x, y)
+            if lm & ~below_a == 0 and um & ~above_a == 0:
+                members.append(x * n + y)
+    return frozenset(members)
+
+
+def ref_least_upper_bounds(rel, names, bound):
+    n = len(names)
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            mask = rel.upper_mask(a, b)
+            found = [u for u in bits_of(mask) if rel.rows[u] & mask == mask]
+            if len(found) != 1:
+                raise ValueError(f"no unique {bound} for pair ({names[a]}, {names[b]})")
+            row.append(found[0])
+        out.append(row)
+    return out
+
+
+def lattice_outcome(order, mode):
+    """The table lattice_sheffer builds, or the message of the error it raises."""
+    try:
+        return lattice_sheffer(order, mode)
+    except ValueError as exc:
+        return str(exc)
+
+
 def all_relations(n):
     car = Carrier.of_size(n)
     for mask in range(1 << n * n):
@@ -247,3 +316,74 @@ def test_relation_scans_on_random_relations():
         flags.add(tuple(relation_properties(rel)))
     # every flag is seen both true and false
     assert all({flag[i] for flag in flags} == {True, False} for i in range(4))
+
+
+def assert_drsi_reports_agree(sys):
+    assert validate_drsi(sys) == ref_validate_drsi(sys), (sys.relation.rows, sys.involution.image)
+
+
+def assert_admissible_pairs_agree(sys):
+    for a in range(sys.carrier.size):
+        assert p_a_subset(sys, a) == ref_p_a_subset(sys, a), (sys.relation.rows, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_scans_on_every_relation_and_self_map(n):
+    car = Carrier.of_size(n)
+    maps = [ElementMap(car, car, image) for image in itertools.product(range(n), repeat=n)]
+    reports = set()
+    for rel in all_relations(n):
+        assert_admissible_pairs_agree(RelationalSystem(car, rel))
+        for u in maps:
+            sys = RelationalSystem(car, rel, u)
+            assert_drsi_reports_agree(sys)
+            report = validate_drsi(sys)
+            reports.add((report.directed.reason, report.cone_duality.holds))
+    # from two elements on, each cone verdict is reached both ways
+    assert n == 1 or {reason for reason, _ in reports} == {
+        "", "upper cone empty", "lower cone empty"}
+    assert n == 1 or {holds for _, holds in reports} == {True, False}
+
+
+def test_cone_scans_on_random_relations():
+    rng = random.Random(20212)
+    duality = set()
+    for rel in random_relations(seed=20213, count=600):
+        car = rel.carrier
+        n = car.size
+        involution = list(range(n))
+        for i in range(0, n - 1, 2):
+            involution[i], involution[i + 1] = i + 1, i
+        assert_admissible_pairs_agree(RelationalSystem(car, rel))
+        maps = [tuple(rng.randrange(n) for _ in range(n)), tuple(involution)]
+        for image in maps:
+            sys = RelationalSystem(car, rel, ElementMap(car, car, image))
+            assert_drsi_reports_agree(sys)
+            duality.add(validate_drsi(sys).cone_duality.holds)
+        if n <= 3:
+            # the swap of a twist-product is always antitone, so its cones are dual
+            twist = twist_product(RelationalSystem(car, rel))
+            assert_drsi_reports_agree(twist)
+            assert_admissible_pairs_agree(twist)
+    assert duality == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_sheffer_on_every_relation_with_an_antitone_involution(n, monkeypatch):
+    car = Carrier.of_size(n)
+    maps = [ElementMap(car, car, image) for image in itertools.product(range(n), repeat=n)]
+    outcomes = []
+    for rel in all_relations(n):
+        for u in maps:
+            order = RelationalSystem(car, rel, u)
+            if not check_involution(order, u):
+                continue
+            for mode in ("join", "meet"):
+                got = lattice_outcome(order, mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(bridge, "_least_upper_bounds", ref_least_upper_bounds)
+                    assert got == lattice_outcome(order, mode), (rel.rows, u.image, mode)
+                outcomes.append(got)
+    # tables and "no unique" refusals are both compared from two elements on
+    assert n == 1 or any(isinstance(got, Groupoid) for got in outcomes)
+    assert n == 1 or any("no unique" in str(got) for got in outcomes)

@@ -37,6 +37,8 @@ class TestGroupoid:
             Groupoid(car, ((0,), (1, 0)))
         with pytest.raises(IndexError):
             Groupoid(car, ((0, 2), (1, 0)))
+        with pytest.raises(ValueError, match=r"^expected 2 table rows, got 1$"):
+            Groupoid(car, ((0, 1),))
 
     def test_list_table_becomes_tuples(self, c2, nand):
         g = Groupoid(c2, [[1, 1], [1, 0]])
