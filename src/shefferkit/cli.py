@@ -76,43 +76,37 @@ class FileFormatError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
-    return out
-
-
 class _Reader:
+    """The content lines of a file as (line number, tokens), taken front to back."""
+
     def __init__(self, text: str):
-        self.lines = _content_lines(text)
+        split = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+        self.lines = [(lineno, tokens) for lineno, tokens in enumerate(split, 1) if tokens]
         self.pos = 0
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def take(self, expected: str) -> tuple[int, list[str]]:
-        if self.done:
-            raise FileFormatError(self.last_line + 1, f"expected '{expected}' section")
+    def take(self, keyword: str, row: bool = False) -> tuple[int, list[str]]:
+        """The next line: the ``keyword`` section line, or with ``row`` a row of it."""
+        if self.pos == len(self.lines):
+            end = self.lines[-1][0] + 1 if self.lines else 1
+            raise FileFormatError(end, f"missing {keyword} row" if row
+                                  else f"expected '{keyword}' section")
         lineno, tokens = self.lines[self.pos]
-        if tokens[0] != expected:
-            raise FileFormatError(lineno, f"expected '{expected}', got {tokens[0]!r}")
+        if not row and tokens[0] != keyword:
+            raise FileFormatError(lineno, f"expected '{keyword}', got {tokens[0]!r}")
         self.pos += 1
         return lineno, tokens
 
-    def take_row(self, what: str) -> tuple[int, list[str]]:
-        if self.done:
-            raise FileFormatError(self.last_line + 1, f"missing {what} row")
-        lineno, tokens = self.lines[self.pos]
-        self.pos += 1
-        return lineno, tokens
-
-    @property
-    def last_line(self) -> int:
-        return self.lines[-1][0] if self.lines else 0
+    def sections(self, parsers: dict) -> dict:
+        """Each remaining line parsed by ``parsers[keyword](lineno, names)``, in
+        line order; a keyword outside ``parsers`` or seen before is refused."""
+        found = {}
+        for lineno, (keyword, *names) in self.lines[self.pos:]:
+            if keyword in found:
+                raise FileFormatError(lineno, f"duplicate '{keyword}' section")
+            if keyword not in parsers:
+                raise FileFormatError(lineno, f"unexpected section {keyword!r}")
+            found[keyword] = parsers[keyword](lineno, names)
+        return found
 
 
 def _parse_elements(reader: _Reader) -> Carrier:
@@ -125,41 +119,29 @@ def _parse_elements(reader: _Reader) -> Carrier:
         raise FileFormatError(lineno, str(exc)) from None
 
 
-def _index_of(carrier: Carrier, name: str, lineno: int) -> int:
+def _indices(carrier: Carrier, lineno: int, names: list[str], count: int,
+             wrong_count: str) -> tuple[int, ...]:
+    """The indices of ``count`` names on one line; the first unknown name is reported."""
+    if len(names) != count:
+        raise FileFormatError(lineno, wrong_count)
     try:
-        return carrier.index(name)
-    except KeyError:
-        raise FileFormatError(lineno, f"unknown element name {name!r}") from None
+        return tuple(map(carrier._positions.__getitem__, names))
+    except KeyError as exc:
+        raise FileFormatError(lineno, f"unknown element name {exc.args[0]!r}") from None
 
 
-def _parse_trailers(reader: _Reader, carrier: Carrier):
-    """Optional ``involution`` and ``bounds`` sections, each at most once."""
-    involution = None
-    bottom = top = None
-    seen = set()
-    while not reader.done:
-        lineno, tokens = reader.lines[reader.pos]
-        keyword = tokens[0]
-        if keyword in seen:
-            raise FileFormatError(lineno, f"duplicate '{keyword}' section")
-        if keyword == "involution":
-            # the first line names the file's kind; checked before any name
-            if reader.lines[0][1][0] == "groupoid":
-                raise FileFormatError(lineno, "groupoid files take no involution section")
-            if len(tokens) != carrier.size + 1:
-                raise FileFormatError(lineno, f"involution needs {carrier.size} names")
-            image = tuple(_index_of(carrier, t, lineno) for t in tokens[1:])
-            involution = ElementMap(carrier, carrier, image)
-        elif keyword == "bounds":
-            if len(tokens) != 3:
-                raise FileFormatError(lineno, "bounds needs exactly two names")
-            bottom = _index_of(carrier, tokens[1], lineno)
-            top = _index_of(carrier, tokens[2], lineno)
-        else:
-            raise FileFormatError(lineno, f"unexpected section {keyword!r}")
-        seen.add(keyword)
-        reader.pos += 1
-    return involution, bottom, top
+def _bounds(carrier: Carrier, lineno: int, names: list[str]) -> tuple[int, ...]:
+    return _indices(carrier, lineno, names, 2, "bounds needs exactly two names")
+
+
+def _involution(carrier: Carrier, lineno: int, names: list[str]) -> ElementMap:
+    n = carrier.size
+    return ElementMap(carrier, carrier,
+                      _indices(carrier, lineno, names, n, f"involution needs {n} names"))
+
+
+def _no_involution(lineno: int, names: list[str]):
+    raise FileFormatError(lineno, "groupoid files take no involution section")
 
 
 def parse_system_file(text: str) -> RelationalSystem:
@@ -169,14 +151,15 @@ def parse_system_file(text: str) -> RelationalSystem:
     n = carrier.size
     reader.take("relation")
     rows = []
-    for i in range(n):
-        lineno, tokens = reader.take_row("relation")
-        if len(tokens) != n or any(t not in ("0", "1") for t in tokens):
+    for _ in range(n):
+        lineno, tokens = reader.take("relation", row=True)
+        if len(tokens) != n or not {"0", "1"}.issuperset(tokens):
             raise FileFormatError(lineno, f"relation row must be {n} digits 0/1")
-        rows.append(sum(1 << j for j, t in enumerate(tokens) if t == "1"))
-    involution, bottom, top = _parse_trailers(reader, carrier)
+        rows.append(int("".join(reversed(tokens)), 2))
+    found = reader.sections({"involution": functools.partial(_involution, carrier),
+                             "bounds": functools.partial(_bounds, carrier)})
     return RelationalSystem(carrier, BinaryRelation(carrier, tuple(rows)),
-                            involution, bottom, top)
+                            found.get("involution"), *found.get("bounds", (None, None)))
 
 
 def _bounds_lines(model) -> list[str]:
@@ -188,13 +171,12 @@ def _bounds_lines(model) -> list[str]:
 
 
 def format_system_file(sys: RelationalSystem) -> str:
-    n = sys.carrier.size
     names = sys.carrier.names
+    digits = f"0{sys.carrier.size}b"
     lines = ["system", "elements " + " ".join(names), "relation"]
-    for i in range(n):
-        lines.append(" ".join("1" if sys.relation.has(i, j) else "0" for j in range(n)))
+    lines.extend(" ".join(format(row, digits)[::-1]) for row in sys.relation.rows)
     if sys.involution is not None:
-        lines.append("involution " + " ".join(names[sys.involution(i)] for i in range(n)))
+        lines.append("involution " + " ".join(names[v] for v in sys.involution.image))
     lines.extend(_bounds_lines(sys))
     return "\n".join(lines) + "\n"
 
@@ -205,21 +187,18 @@ def parse_groupoid_file(text: str) -> Groupoid:
     carrier = _parse_elements(reader)
     n = carrier.size
     reader.take("table")
-    table = []
-    for i in range(n):
-        lineno, tokens = reader.take_row("table")
-        if len(tokens) != n:
-            raise FileFormatError(lineno, f"table row must list {n} entries")
-        table.append(tuple(_index_of(carrier, t, lineno) for t in tokens))
-    _, bottom, top = _parse_trailers(reader, carrier)
-    return Groupoid(carrier, tuple(table), bottom, top)
+    wrong_count = f"table row must list {n} entries"
+    table = tuple(_indices(carrier, *reader.take("table", row=True), n, wrong_count)
+                  for _ in range(n))
+    found = reader.sections({"involution": _no_involution,
+                             "bounds": functools.partial(_bounds, carrier)})
+    return Groupoid(carrier, table, *found.get("bounds", (None, None)))
 
 
 def format_groupoid_file(g: Groupoid) -> str:
     names = g.carrier.names
     lines = ["groupoid", "elements " + " ".join(names), "table"]
-    for row in g.table:
-        lines.append(" ".join(names[v] for v in row))
+    lines.extend(" ".join(names[v] for v in row) for row in g.table)
     lines.extend(_bounds_lines(g))
     return "\n".join(lines) + "\n"
 
@@ -228,12 +207,8 @@ def parse_map_file(text: str, src: Carrier, dst: Carrier) -> ElementMap:
     reader = _Reader(text)
     reader.take("map")
     lineno, tokens = reader.take("images")
-    if len(tokens) != src.size + 1:
-        raise FileFormatError(lineno, f"images needs {src.size} names")
-    image = tuple(_index_of(dst, t, lineno) for t in tokens[1:])
-    if not reader.done:
-        extra, tokens = reader.lines[reader.pos]
-        raise FileFormatError(extra, f"unexpected section {tokens[0]!r}")
+    image = _indices(dst, lineno, tokens[1:], src.size, f"images needs {src.size} names")
+    reader.sections({})  # no section may follow the images
     return ElementMap(src, dst, image)
 
 
@@ -322,9 +297,8 @@ def cmd_check_sheffer(args) -> int:
 def cmd_check_named(args) -> int:
     key = args.key.upper()
     g = _load_groupoid(args.file)
-    law = get_law(key)
-    print(f"law {key}:", format_law(law))
     v = check_named(g, key)
+    print(f"law {key}:", format_law(get_law(key)))
     _print_law_verdict(v, g.carrier)
     return 0 if v.holds else 1
 
@@ -332,8 +306,8 @@ def cmd_check_named(args) -> int:
 def cmd_check_law(args) -> int:
     g = _load_groupoid(args.file)
     law = parse_law(args.law_text)
-    print("law:", format_law(law))
     v = check_law(g, law)
+    print("law:", format_law(law))
     _print_law_verdict(v, g.carrier)
     return 0 if v.holds else 1
 
@@ -439,11 +413,8 @@ def cmd_hom(args) -> int:
     if args.map:
         f = parse_map_file(_read(args.map), src.carrier, dst.carrier)
         # the one map check for both kinds, so it rejects --strong with groupoids too
-        v = _first_failure(src, dst, f, args.strong)
-        if v.holds and args.injective and not f.is_injective():
-            v = Verdict(False, None, "not injective")
-        elif v.holds and args.surjective and not f.is_surjective():
-            v = Verdict(False, None, "not surjective")
+        v = _first_failure(src, dst, f, args.strong, injective=args.injective,
+                           surjective=args.surjective)
         print(_verdict_line("homomorphism", v, src.carrier))
         return 0 if v.holds else 1
     count = 0

@@ -119,12 +119,18 @@ def _conditions(src, dst, strong: bool):
             yield x, x, src.involution(x), flip, (x,), "does not commute with the involutions"
 
 
-def _first_failure(src, dst, f: ElementMap, strong: bool = False) -> Verdict:
+def _first_failure(src, dst, f: ElementMap, strong: bool = False, *,
+                   injective: bool = False, surjective: bool = False) -> Verdict:
+    """The first failing condition, then the modes of ``find_homomorphisms`` in turn."""
     _carriers_match(f, src, dst)
     image = f.image
     for x, y, z, table, witness, reason in _conditions(src, dst, strong):
         if table[image[x]][image[y]] != image[z]:
             return Verdict(False, witness, reason)
+    if injective and not f.is_injective():
+        return Verdict(False, None, "not injective")
+    if surjective and not f.is_surjective():
+        return Verdict(False, None, "not surjective")
     return Verdict(True)
 
 

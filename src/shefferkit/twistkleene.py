@@ -27,7 +27,7 @@ from .relcore import (
     is_directed,
     validate_drsi,
 )
-from .morphisms import is_rel_homomorphism
+from .morphisms import _first_failure
 from .sheffer import Groupoid, derived_involution
 
 __all__ = [
@@ -109,10 +109,8 @@ def twist_sheffer(g: Groupoid) -> Groupoid:
 def _strong_embedding(src: RelationalSystem, dst: RelationalSystem,
                       f: ElementMap) -> Verdict:
     """Injective strong homomorphism of the relations alone."""
-    if not f.is_injective():
-        return Verdict(False, None, "not injective")
-    return is_rel_homomorphism(replace(src, involution=None), replace(dst, involution=None),
-                               f, strong=True)
+    return _first_failure(replace(src, involution=None), replace(dst, involution=None), f,
+                          strong=True, injective=True)
 
 
 def embed_base(sys: RelationalSystem, a: int) -> tuple[ElementMap, Verdict]:

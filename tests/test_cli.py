@@ -59,6 +59,12 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert fragment in err
 
+    @pytest.mark.parametrize("argv", [c[0] for c in ERROR_CASES],
+                             ids=[" ".join(c[0][:2]) + "/" + c[1][:12] for c in ERROR_CASES])
+    def test_exit_two_prints_no_report(self, argv):
+        # every check runs before its report starts, so a failure leaves stdout empty
+        assert run_cli(argv)[:2] == (2, "")
+
     def test_strong_groupoid_map_check_is_rejected(self, no_search, tmp_path):
         identity = tmp_path / "identity.map"
         identity.write_text("map\nimages a b c d\n")
