@@ -50,12 +50,8 @@ class EquivalenceRelation:
         object.__setattr__(self, "block_ids", tuple(self.block_ids))
         if len(self.block_ids) != self.carrier.size:
             raise ValueError("block ids do not cover the carrier")
-        top = 0
-        for b in self.block_ids:
-            if not 0 <= b <= top:
-                raise ValueError("block ids must be at least 0, in first-occurrence order")
-            if b == top:
-                top += 1
+        if self.block_ids != _first_occurrence_ids(self.block_ids):
+            raise ValueError("block ids must be at least 0, in first-occurrence order")
 
     @classmethod
     def from_blocks(cls, carrier: Carrier, blocks) -> "EquivalenceRelation":

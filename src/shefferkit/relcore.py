@@ -76,9 +76,12 @@ class Carrier:
             raise KeyError(f"unknown element name {name!r}") from None
 
 
-def _check_index(carrier: Carrier, i: int) -> None:
-    if not 0 <= i < carrier.size:
-        raise IndexError(f"element index {i} out of range for carrier of size {carrier.size}")
+def _check_index(carrier: Carrier, *indices: int) -> None:
+    """Raise IndexError naming the first of ``indices`` outside the carrier."""
+    n = len(carrier.names)
+    for i in indices:
+        if not 0 <= i < n:
+            raise IndexError(f"element index {i} out of range for carrier of size {n}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,7 @@ class BinaryRelation:
     def from_pairs(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "BinaryRelation":
         rows = [0] * carrier.size
         for i, j in pairs:
-            _check_index(carrier, i)
-            _check_index(carrier, j)
+            _check_index(carrier, i, j)
             rows[i] |= 1 << j
         return cls(carrier, tuple(rows))
 
@@ -177,8 +179,7 @@ class ElementMap:
         object.__setattr__(self, "image", tuple(self.image))
         if len(self.image) != self.domain.size:
             raise ValueError("image tuple does not cover the domain")
-        for v in self.image:
-            _check_index(self.codomain, v)
+        _check_index(self.codomain, *self.image)
 
     @classmethod
     def identity(cls, carrier: Carrier) -> "ElementMap":
@@ -260,15 +261,13 @@ class DrsiReport:
 
 def upper_cone(sys: RelationalSystem, a: int, b: int) -> frozenset[int]:
     """Elements above both a and b: every x with (a,x) and (b,x) related."""
-    _check_index(sys.carrier, a)
-    _check_index(sys.carrier, b)
+    _check_index(sys.carrier, a, b)
     return frozenset(bits_of(sys.relation.upper_mask(a, b)))
 
 
 def lower_cone(sys: RelationalSystem, a: int, b: int) -> frozenset[int]:
     """Elements below both a and b: every x with (x,a) and (x,b) related."""
-    _check_index(sys.carrier, a)
-    _check_index(sys.carrier, b)
+    _check_index(sys.carrier, a, b)
     return frozenset(bits_of(sys.relation.lower_mask(a, b)))
 
 
@@ -441,14 +440,12 @@ def check_complemented(sys: RelationalSystem) -> Verdict:
 def set_related(rel: BinaryRelation, left: Iterable[int], right: Iterable[int]) -> bool:
     """Whole-set relatedness: every element of left relates to every element of right.
 
-    Vacuously true when either side is empty.
+    Vacuously true when either side is empty. Every index of right, then
+    of left, is checked before any row is read.
     """
+    left, right = tuple(left), tuple(right)
+    _check_index(rel.carrier, *right, *left)
     right_mask = 0
     for c in right:
-        _check_index(rel.carrier, c)
         right_mask |= 1 << c
-    for b in left:
-        _check_index(rel.carrier, b)
-        if rel.rows[b] & right_mask != right_mask:
-            return False
-    return True
+    return all(rel.rows[b] & right_mask == right_mask for b in left)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -41,8 +41,7 @@ class Groupoid:
         for row in self.table:
             if len(row) != n:
                 raise ValueError("table is not square")
-            for v in row:
-                _check_index(self.carrier, v)
+            _check_index(self.carrier, *row)
         for bound in (self.bottom, self.top):
             if bound is not None:
                 _check_index(self.carrier, bound)
@@ -99,8 +98,7 @@ def is_sheffer(g: Groupoid) -> LawVerdict:
         verdict = check_law(g, get_law(key))
         checked += verdict.checked
         if not verdict.holds:
-            return LawVerdict(False, verdict.counterexample, verdict.lhs_value,
-                              verdict.rhs_value, checked, key)
+            return replace(verdict, checked=checked, name=key)
     return LawVerdict(True, None, None, None, checked, "sheffer")
 
 
@@ -122,9 +120,7 @@ def check_named(g: Groupoid, key: str) -> LawVerdict:
     law = get_law(key)
     if law.constants and (g.bottom is None or g.top is None):
         raise ValueError(f"law {key} needs a groupoid with designated bounds")
-    verdict = check_law(g, law)
-    return LawVerdict(verdict.holds, verdict.counterexample, verdict.lhs_value,
-                      verdict.rhs_value, verdict.checked, key)
+    return replace(check_law(g, law), name=key)
 
 
 _MAJORITY_TERM = parse_term("((x|y)|(x|z))'|(y|z)")

@@ -49,8 +49,7 @@ class PairIndexing:
     base: Carrier
 
     def flat(self, x: int, y: int) -> int:
-        _check_index(self.base, x)
-        _check_index(self.base, y)
+        _check_index(self.base, x, y)
         return x * self.base.size + y
 
     def unflat(self, k: int) -> tuple[int, int]:

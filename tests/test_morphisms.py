@@ -73,6 +73,17 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="at least 0"):
             EquivalenceRelation(Carrier.of_size(3), ids)
 
+    @pytest.mark.parametrize("ids, valid", [((0, -1, 1), False), ((0, 2), False), ((1, 0), False),
+                                            ((0, 0, 1), True), ((0, 1, 0), True)])
+    def test_ids_must_number_blocks_in_first_occurrence_order(self, ids, valid):
+        car = Carrier.of_size(len(ids))
+        if valid:
+            assert EquivalenceRelation(car, ids).block_ids == ids
+        else:
+            with pytest.raises(ValueError) as info:
+                EquivalenceRelation(car, ids)
+            assert str(info.value) == "block ids must be at least 0, in first-occurrence order"
+
     def test_kernel(self):
         car = Carrier.of_size(3)
         f = ElementMap(car, Carrier.of_size(2), (1, 1, 0))

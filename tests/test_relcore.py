@@ -324,3 +324,14 @@ class TestSetRelated:
     def test_chain(self, chain2):
         assert set_related(chain2.relation, (0,), (0, 1))
         assert not set_related(chain2.relation, (1,), (0,))
+
+    @pytest.mark.parametrize("left", [[0, 7], [1, 7]])
+    def test_every_index_is_checked_before_any_row(self, left):
+        # row 0 lacks bit 1, so a check made row by row stopped at 0 and returned False
+        rel = BinaryRelation(Carrier.of_size(2), (0b01, 0b11))
+        with pytest.raises(IndexError, match=r"^element index 7 out of range for carrier of size 2$"):
+            set_related(rel, iter(left), iter([1]))
+
+    def test_right_is_checked_before_left(self, chain2):
+        with pytest.raises(IndexError, match=r"^element index 5 out of range"):
+            set_related(chain2.relation, [9], [0, 5])

@@ -13,6 +13,15 @@ mask-based checks must return the same verdicts and reports, witnesses
 included, for every relation (and every self-map, every pair of bounds)
 on carriers of at most three elements, and on seeded random relations of
 up to nine elements.
+
+``ref_check_index`` is the one-index check that the constructors and
+guards called once per value; ``ref_groupoid``, ``ref_element_map``,
+``ref_from_pairs``, ``ref_upper_cone``, ``ref_lower_cone`` and
+``ref_set_related`` are copies of the loops that called it.  The checks
+made once per row, image or argument list must build the same value, or
+raise the same exception with the same message, on seeded random inputs
+of up to eight elements.  ``set_related`` now checks every index before
+it reads a row, so it may raise where the copy returned False.
 """
 
 import dataclasses
@@ -37,9 +46,12 @@ from shefferkit import (
     is_directed,
     is_kleene,
     lattice_sheffer,
+    lower_cone,
     p_a_subset,
     relation_properties,
+    set_related,
     twist_product,
+    upper_cone,
     validate_drsi,
 )
 import shefferkit.bridge as bridge
@@ -387,3 +399,151 @@ def test_lattice_sheffer_on_every_relation_with_an_antitone_involution(n, monkey
     # tables and "no unique" refusals are both compared from two elements on
     assert n == 1 or any(isinstance(got, Groupoid) for got in outcomes)
     assert n == 1 or any("no unique" in str(got) for got in outcomes)
+
+
+def ref_check_index(carrier, i):
+    if not 0 <= i < carrier.size:
+        raise IndexError(f"element index {i} out of range for carrier of size {carrier.size}")
+
+
+def ref_groupoid(carrier, table, bottom=None, top=None):
+    table = tuple(map(tuple, table))
+    n = carrier.size
+    if len(table) != n:
+        raise ValueError(f"expected {n} table rows, got {len(table)}")
+    for row in table:
+        if len(row) != n:
+            raise ValueError("table is not square")
+        for v in row:
+            ref_check_index(carrier, v)
+    for bound in (bottom, top):
+        if bound is not None:
+            ref_check_index(carrier, bound)
+    return Groupoid._unchecked(carrier, table, bottom, top)
+
+
+def ref_element_map(domain, codomain, image):
+    image = tuple(image)
+    if len(image) != domain.size:
+        raise ValueError("image tuple does not cover the domain")
+    for v in image:
+        ref_check_index(codomain, v)
+    return image
+
+
+def ref_from_pairs(carrier, pairs):
+    rows = [0] * carrier.size
+    for i, j in pairs:
+        ref_check_index(carrier, i)
+        ref_check_index(carrier, j)
+        rows[i] |= 1 << j
+    return BinaryRelation(carrier, tuple(rows))
+
+
+def ref_upper_cone(sys, a, b):
+    ref_check_index(sys.carrier, a)
+    ref_check_index(sys.carrier, b)
+    return frozenset(bits_of(sys.relation.upper_mask(a, b)))
+
+
+def ref_lower_cone(sys, a, b):
+    ref_check_index(sys.carrier, a)
+    ref_check_index(sys.carrier, b)
+    return frozenset(bits_of(sys.relation.lower_mask(a, b)))
+
+
+def ref_set_related(rel, left, right):
+    right_mask = 0
+    for c in right:
+        ref_check_index(rel.carrier, c)
+        right_mask |= 1 << c
+    for b in left:
+        ref_check_index(rel.carrier, b)
+        if rel.rows[b] & right_mask != right_mask:
+            return False
+    return True
+
+
+def outcome(call, *args):
+    """("value", what call returns), or the type name and message of its error."""
+    try:
+        return "value", call(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_index(rng, n, bad=0.2):
+    """An element index of an n-element carrier, or with chance ``bad`` one of -1, n, 10 * n."""
+    return rng.choice((-1, n, 10 * n)) if rng.random() < bad else rng.randrange(n)
+
+
+def random_indices(rng, n, count, bad):
+    return [random_index(rng, n, bad) for _ in range(count)]
+
+
+def random_bound(rng, n):
+    return None if rng.random() < 0.4 else random_index(rng, n, bad=0.3)
+
+
+def test_groupoid_checks_on_random_tables():
+    rng = random.Random(20201)
+    kinds = set()
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        car = Carrier.of_size(n)
+        bad = rng.choice((0, 0.02, 0.2))
+        # now and then a short row or a missing row, so the checks also race a ValueError
+        table = [random_indices(rng, n, n - (rng.random() < 0.03), bad)
+                 for _ in range(n - (rng.random() < 0.02))]
+        bottom, top = random_bound(rng, n), random_bound(rng, n)
+        want = outcome(ref_groupoid, car, table, bottom, top)
+        assert outcome(Groupoid, car, table, bottom, top) == want, (table, bottom, top)
+        kinds.add(want[0])
+    assert kinds == {"value", "IndexError", "ValueError"}
+
+
+def test_map_and_pair_checks_on_random_indices():
+    rng = random.Random(20202)
+    kinds = set()
+    for _ in range(1500):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        dom, cod = Carrier.of_size(n), Carrier.of_size(m)
+        bad = rng.choice((0.02, 0.2))
+        image = random_indices(rng, m, n, bad)
+        want = outcome(ref_element_map, dom, cod, image)
+        assert outcome(lambda: ElementMap(dom, cod, image).image) == want, (n, image)
+        kinds.add(want[0])
+        pairs = [tuple(random_indices(rng, n, 2, bad / 2)) for _ in range(rng.randint(0, 2 * n))]
+        assert outcome(BinaryRelation.from_pairs, dom, pairs) == outcome(ref_from_pairs, dom, pairs)
+    assert kinds == {"value", "IndexError"}
+
+
+def test_cone_checks_on_random_systems():
+    rng = random.Random(20203)
+    for rel in random_relations(seed=20204, count=300, max_size=8):
+        sys = RelationalSystem(rel.carrier, rel)
+        n = rel.carrier.size
+        for _ in range(8):
+            a, b = random_indices(rng, n, 2, 0.3)
+            assert outcome(upper_cone, sys, a, b) == outcome(ref_upper_cone, sys, a, b)
+            assert outcome(lower_cone, sys, a, b) == outcome(ref_lower_cone, sys, a, b)
+
+
+def test_set_related_checks_on_random_sets():
+    rng = random.Random(20205)
+    unreached = 0
+    for rel in random_relations(seed=20206, count=400, max_size=8):
+        n = rel.carrier.size
+        for _ in range(6):
+            left = random_indices(rng, n, rng.randint(0, 4), 0.15)
+            right = random_indices(rng, n, rng.randint(0, 4), 0.15)
+            got = outcome(set_related, rel, left, right)
+            want = outcome(ref_set_related, rel, left, right)
+            if want[0] == "value" and got[0] == "IndexError":
+                # the copy returned at a row before it reached the bad index
+                bad = next(i for i in right + left if not 0 <= i < n)
+                assert got[1] == f"element index {bad} out of range for carrier of size {n}"
+                unreached += 1
+            else:
+                assert got == want, (rel.rows, left, right)
+    assert unreached
