@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .relcore import Carrier, ElementMap, RelationalSystem, Verdict, check_bounded
 from .sheffer import Groupoid
@@ -149,18 +149,14 @@ def verify_hom_transfer(ga: Groupoid, gb: Groupoid, f: ElementMap) -> bool:
     return is_rel_homomorphism(sys_a, sys_b, f).holds
 
 
-def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = False,
-                       injective: bool = False) -> Iterator[ElementMap]:
-    """Backtracking search for homomorphisms, emitted in lexicographic image order.
-
-    Both arguments must be systems or both groupoids.  Each condition of the map
-    checks is checked once the last element it reads has its image, and the modes
-    are checked at the call: ``strong`` with groupoids raises ValueError.
-    """
+def _maps(src, dst, conditions, *, surjective: bool = False,
+          injective: bool = False) -> Iterator[ElementMap]:
+    """Backtracking search for the maps that meet every condition, in lexicographic
+    image order: each condition is checked once the last element it reads has its image."""
     n, m = src.carrier.size, dst.carrier.size
     # the conditions whose last element read is i
     due: list[list[tuple]] = [[] for _ in range(n)]
-    for x, y, z, table, _witness, _reason in _conditions(src, dst, strong):
+    for x, y, z, table, _witness, _reason in conditions:
         due[max(x, y, z)].append((x, y, z, table))
 
     image = [0] * n
@@ -188,6 +184,33 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
             unused += not used[v]
 
     return extend(0)
+
+
+def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = False,
+                       injective: bool = False) -> Iterator[ElementMap]:
+    """Backtracking search for homomorphisms, emitted in lexicographic image order.
+
+    Both arguments must be systems or both groupoids.  The conditions are those of
+    the map checks, and the modes are checked at the call: ``strong`` with
+    groupoids raises ValueError.
+    """
+    return _maps(src, dst, _conditions(src, dst, strong), surjective=surjective, injective=injective)
+
+
+def _isomorphism(a, b) -> Optional[ElementMap]:
+    """A bijective homomorphism a -> b, strong for systems, that sends bottom to
+    bottom and top to top, or None.  Each bound a structure has is one more
+    condition against a constant table, so it prunes inside the search."""
+    extras = [(a.bottom, b.bottom), (a.top, b.top),
+              (getattr(a, "involution", None), getattr(b, "involution", None))]
+    n = a.carrier.size
+    if n != b.carrier.size or any((x is None) != (y is None) for x, y in extras):
+        return None
+    conditions = list(_conditions(a, b, isinstance(a, RelationalSystem)))
+    for x, y in extras[:2]:
+        if x is not None:
+            conditions.append((x, x, x, [[y] * n] * n, (x,), "does not keep the bounds"))
+    return next(_maps(a, b, conditions, injective=True), None)
 
 
 def kernel(f: ElementMap) -> EquivalenceRelation:

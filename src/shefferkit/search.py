@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -39,6 +40,7 @@ from .relcore import (
     _antitone_gap,
     is_directed,
 )
+from .morphisms import _isomorphism
 from .sheffer import Groupoid, get_law
 from .terms import Law, check_law, _compile
 
@@ -343,7 +345,7 @@ def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
     relabelings other than the identity that leave its cells as they are,
     which the search finds under ``up_to_isomorphism`` (none otherwise); only
     bounds that no automorphism maps to a smaller pair are kept, so each
-    isomorphism class keeps its least member (see ``_relabeled``).  Rows
+    isomorphism class keeps its least member (see ``_narrow``).  Rows
     share equal tuples, and the cells lie in the carrier by construction,
     so the groupoids are built unvalidated.  Without ``build``, and with
     nothing to check on a groupoid, each model is yielded as None."""
@@ -437,137 +439,47 @@ def enumerate_drsi(n: int) -> Iterator[RelationalSystem]:
                     yield RelationalSystem(carrier, relation, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Least relabeling of a structure; equality decides isomorphism."""
+    """A structure with a key that isomorphism cannot change; equality
+    decides isomorphism (see ``canonical_form``) and the hash reads the key."""
 
     kind: str
-    data: tuple
+    key: tuple
+    structure: Union[Groupoid, RelationalSystem]
 
+    def __hash__(self) -> int:
+        return hash((self.kind, self.key))
 
-def _parts(obj: Union[Groupoid, RelationalSystem]) -> tuple[str, tuple]:
-    """The kind of ``obj`` and what ``_relabeled`` reads of it: the cell rows,
-    whether cell values are elements, the involution image and the bounds."""
-    if isinstance(obj, Groupoid):
-        kind, rows, values, involution = "groupoid", obj.table, True, None
-    elif isinstance(obj, RelationalSystem):
-        kind, rows, values = "system", obj.relation.matrix(), False
-        involution = None if obj.involution is None else obj.involution.image
-    else:
-        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
-    bounds = None if obj.bottom is None and obj.top is None else (obj.bottom, obj.top)
-    return kind, (rows, values, involution, bounds)
-
-
-def _relabeled(parts: tuple, inv: Sequence[int], below: Optional[tuple] = None) -> Optional[tuple]:
-    """The data of a structure relabeled by the inverse permutation ``inv``
-    (new label ``a`` is old element ``inv[a]``); with ``below``, None unless
-    that data is lexicographically less than ``below``.
-
-    The cells are read in row-major order through ``inv``.  A groupoid's
-    cell values are elements and are mapped; relation bits are not.  The
-    involution and the bounds are mapped.  The data is ``(cells, bounds)``
-    for a groupoid and ``(cells, involution, bounds)`` for a system, with
-    ``None`` for what the structure lacks.  Against ``below`` the rows are
-    compared as they are built, so a larger row stops the work.
-    """
-    rows, values, involution, bounds = parts
-    n = len(inv)
-    perm = [0] * n
-    for a, i in enumerate(inv):
-        perm[i] = a
-    cells: list[int] = []
-    settled = below is None
-    for a, i in enumerate(inv):
-        row = rows[i]
-        got = tuple([perm[row[j]] for j in inv] if values else [row[j] for j in inv])
-        if not settled:
-            want = below[0][a * n:a * n + n]
-            if got > want:
-                return None
-            settled = got < want
-        cells.extend(got)
-    data: tuple = (tuple(cells),)
-    if not values:
-        data += (None if involution is None else tuple([perm[involution[i]] for i in inv]),)
-    data += (None if bounds is None else tuple(None if b is None else perm[b] for b in bounds),)
-    return data if settled or data < below else None
+    def __eq__(self, other: object):
+        if not isinstance(other, CanonicalForm):
+            return NotImplemented
+        return (self.kind == other.kind and self.key == other.key
+                and _isomorphism(self.structure, other.structure) is not None)
 
 
 def canonical_form(obj: Union[Groupoid, RelationalSystem]) -> CanonicalForm:
-    """The least relabeling of the structure (see ``_relabeled``), found by
-    branch and bound over the inverse permutation.
+    """The form of a groupoid or system: two structures are isomorphic iff
+    their forms are equal.
 
-    New labels are given to old elements one at a time.  Once k elements
-    are placed, the first k cells of relabeled row 0 have known sources: a
-    relation bit is known, and a groupoid cell is known when its value is
-    placed and is at least k otherwise.  A branch stops when that prefix is
-    provably above the least data found so far, which starts as the
-    structure's own.  A complete permutation is compared row by row.
-    Elements whose swap is an automorphism (twins) give equal subtrees, so
-    each label tries one element of each twin class.  Candidates likely to
-    make row 0 small are tried first, which changes only the speed: for
-    label 0 the elements with ``a|a = a``, or those related to the fewest
-    elements; for a later label of a groupoid, the elements whose row-0
-    cell would be least.
+    The key is the size, which bounds and which involution are present, and
+    the sorted element signatures: for a groupoid whether x|x = x and how
+    many cells hold x, for a system how many elements x is related to and
+    from and whether u fixes x, and for both whether x is the bottom or the
+    top.  Forms with equal keys are equal when a bijective homomorphism,
+    strong for systems, sends bottom to bottom and top to top.
     """
-    kind, parts = _parts(obj)
-    rows, values = parts[0], parts[1]
-    n = len(rows)
-    best = _relabeled(parts, range(n))
-    # twin[x]: the least element whose swap with x is an automorphism
-    twin = list(range(n))
-    for x in range(n):
-        for y in range(x):
-            if twin[y] == y:
-                swap = list(range(n))
-                swap[x], swap[y] = y, x
-                if _relabeled(parts, swap) == best:
-                    twin[x] = y
-                    break
-    if values:
-        first = sorted(range(n), key=lambda x: rows[x][x] != x)
+    if not isinstance(obj, (Groupoid, RelationalSystem)):
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    n = obj.carrier.size
+    if isinstance(obj, Groupoid):
+        kind, involution = "groupoid", None
+        counts = Counter(itertools.chain.from_iterable(obj.table))
+        own = [(obj.table[x][x] == x, counts[x]) for x in range(n)]
     else:
-        first = sorted(range(n), key=lambda x: sum(rows[x]))
-    inv: list[int] = []
-    perm = [-1] * n
-
-    def above(k: int) -> bool:
-        """Row 0 of any completion of the k placed labels exceeds ``best``."""
-        top, want = rows[inv[0]], best[0]
-        for j in range(k):
-            v = top[inv[j]]
-            if values:
-                v = perm[v]
-                if v < 0:
-                    return k > want[j]
-            if v != want[j]:
-                return v > want[j]
-        return False
-
-    def place(k: int) -> None:
-        nonlocal best
-        if k == n:
-            data = _relabeled(parts, inv, best)
-            if data is not None:
-                best = data
-            return
-        order = first if k == 0 else range(n)
-        if k and values:
-            # the row-0 cell of x placed at label k, or its least value
-            top = rows[inv[0]]
-            order = sorted(order, key=lambda x: perm[top[x]] if perm[top[x]] >= 0
-                           else k + (top[x] != x))
-        tried = set()
-        for x in order:
-            if perm[x] < 0 and twin[x] not in tried:
-                tried.add(twin[x])
-                perm[x] = k
-                inv.append(x)
-                if not above(k + 1):
-                    place(k + 1)
-                inv.pop()
-                perm[x] = -1
-
-    place(0)
-    return CanonicalForm(kind, best)
+        kind, relation, involution = "system", obj.relation, obj.involution
+        own = [(relation.rows[x].bit_count(), relation.column(x).bit_count(),
+                involution is not None and involution(x) == x) for x in range(n)]
+    signatures = sorted(own[x] + (x == obj.bottom, x == obj.top) for x in range(n))
+    key = (n, obj.bottom is None, obj.top is None, involution is None, tuple(signatures))
+    return CanonicalForm(kind, key, obj)

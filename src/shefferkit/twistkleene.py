@@ -52,9 +52,6 @@ class PairIndexing:
         _check_index(self.base, x, y)
         return x * self.base.size + y
 
-    def unflat(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.base.size)
-
     def name(self, x: int, y: int) -> str:
         return f"({self.base.names[x]},{self.base.names[y]})"
 

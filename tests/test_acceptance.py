@@ -23,7 +23,6 @@ from shefferkit import (
     all_assignments,
     assign,
     assignment_space,
-    canonical_form,
     check_law,
     check_named,
     check_bounded,

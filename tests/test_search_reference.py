@@ -3,18 +3,20 @@ code they replaced.
 
 ``ref_relabel_groupoid`` and ``ref_relabel_system`` are copies of the two
 earlier relabeling functions, and ``ref_canonical_form`` the earlier
-minimum over them.  ``ref_iso_representatives`` is the earlier seen-set
-pass, which kept the first model of each class in the sorted listing.
-``ref_enumerate_drsi`` is the earlier nested filter, which tested
-directedness once per (relation, involution) pair, and ``ref_involutions``
-the earlier recursive walk over period-two maps.  ``ref_least_member`` is
-the earlier per-model loop of ``up_to_isomorphism``, which built relabeled
-rows through ``_relabeled`` until one was smaller.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism``, the node check
-``_narrow`` with the bounds tie-break of ``_models``, ``enumerate_drsi``
-and ``_involutions`` must agree with exactly: the same forms, so the same
-isomorphism partition, the same representatives, the same verdicts, and
-the same systems and maps in the same order.
+minimum over them, whose equality is the isomorphism partition.
+``ref_iso_representatives`` is the earlier seen-set pass, which kept the
+first model of each class in the sorted listing.  ``ref_enumerate_drsi``
+is the earlier nested filter, which tested directedness once per
+(relation, involution) pair, and ``ref_involutions`` the earlier recursive
+walk over period-two maps.  ``ref_least_member`` is the earlier per-model
+loop of ``up_to_isomorphism``, which built relabeled rows through
+``ref_relabeled`` (a copy of the earlier least-relabeling step) until one
+was smaller.  They stay here as the reference that ``canonical_form``,
+``up_to_isomorphism``, the node check ``_narrow`` with the bounds
+tie-break of ``_models``, ``enumerate_drsi`` and ``_involutions`` must
+agree with exactly: the same isomorphism partition, the same
+representatives, the same verdicts, and the same systems and maps in the
+same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the table search as measured before its propagation step was made lighter;
@@ -40,7 +42,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _involutions, _models, _narrow, _parts, _relabeled, _relabelings
+from shefferkit.search import _involutions, _models, _narrow, _relabelings
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +93,9 @@ def ref_iso_representatives(groupoids):
     seen = set()
     kept = []
     for g in groupoids:
-        form = canonical_form(g)
-        if form.data not in seen:
-            seen.add(form.data)
+        form = ref_canonical_form(g)
+        if form not in seen:
+            seen.add(form)
             kept.append(g)
     return kept
 
@@ -116,10 +118,49 @@ def ref_enumerate_drsi(n):
                 yield sys
 
 
+def ref_parts(obj):
+    """The kind of ``obj`` and what ``ref_relabeled`` reads of it: the cell rows,
+    whether cell values are elements, the involution image and the bounds."""
+    if isinstance(obj, Groupoid):
+        kind, rows, values, involution = "groupoid", obj.table, True, None
+    else:
+        kind, rows, values = "system", obj.relation.matrix(), False
+        involution = None if obj.involution is None else obj.involution.image
+    bounds = None if obj.bottom is None and obj.top is None else (obj.bottom, obj.top)
+    return kind, (rows, values, involution, bounds)
+
+
+def ref_relabeled(parts, inv, below=None):
+    """The data of a structure relabeled by the inverse permutation ``inv``
+    (new label ``a`` is old element ``inv[a]``); with ``below``, None unless
+    that data is lexicographically less than ``below``."""
+    rows, values, involution, bounds = parts
+    n = len(inv)
+    perm = [0] * n
+    for a, i in enumerate(inv):
+        perm[i] = a
+    cells = []
+    settled = below is None
+    for a, i in enumerate(inv):
+        row = rows[i]
+        got = tuple([perm[row[j]] for j in inv] if values else [row[j] for j in inv])
+        if not settled:
+            want = below[0][a * n:a * n + n]
+            if got > want:
+                return None
+            settled = got < want
+        cells.extend(got)
+    data = (tuple(cells),)
+    if not values:
+        data += (None if involution is None else tuple([perm[involution[i]] for i in inv]),)
+    data += (None if bounds is None else tuple(None if b is None else perm[b] for b in bounds),)
+    return data if settled or data < below else None
+
+
 def ref_least_member(g, inverses):
-    parts = _parts(g)[1]
-    own = _relabeled(parts, range(g.size))
-    return not any(_relabeled(parts, inv, own) is not None for inv in inverses)
+    parts = ref_parts(g)[1]
+    own = ref_relabeled(parts, range(g.size))
+    return not any(ref_relabeled(parts, inv, own) is not None for inv in inverses)
 
 
 def ref_involutions(n):
@@ -152,29 +193,38 @@ def bound_choices(n):
     return list(itertools.product([None, *range(n)], repeat=2))
 
 
-def assert_same_forms(structures):
+def assert_same_partition(structures):
+    """Forms are equal, with equal hashes, exactly within the classes of
+    ``ref_canonical_form``: every form equals the others of its class, and
+    the forms of one member of each class are pairwise unequal."""
+    classes = {}
     for obj in structures:
-        assert canonical_form(obj).data == ref_canonical_form(obj), obj
+        classes.setdefault(ref_canonical_form(obj), []).append(canonical_form(obj))
+    for first, *rest in classes.values():
+        for form in rest:
+            assert form == first and hash(form) == hash(first), (first.structure, form.structure)
+    for a, b in itertools.combinations([forms[0] for forms in classes.values()], 2):
+        assert a != b, (a.structure, b.structure)
 
 
 class TestCanonicalFormReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_sheffer_model(self, n):
-        assert_same_forms(run_enumeration(EnumerationSpec(n, ("AX1", "AX2"))).groupoids)
+        assert_same_partition(run_enumeration(EnumerationSpec(n, ("AX1", "AX2"))).groupoids)
 
     def test_size3_with_bounds_models(self):
         spec = EnumerationSpec(3, ("AX1", "AX2"), with_bounds=True)
         models = run_enumeration(spec).groupoids
         assert len(models) == 52 * 9
-        assert_same_forms(models)
+        assert_same_partition(models)
 
     def test_small_models_with_partial_bounds(self, sheffer_by_size):
-        assert_same_forms(Groupoid(g.carrier, g.table, bottom, top)
+        assert_same_partition(Groupoid(g.carrier, g.table, bottom, top)
                           for n, gs in sheffer_by_size.items() for g in gs
                           for bottom, top in bound_choices(n))
 
     def test_every_small_drsi_with_and_without_involution_and_bounds(self, drsi_by_size):
-        assert_same_forms(RelationalSystem(s.carrier, s.relation, involution, bottom, top)
+        assert_same_partition(RelationalSystem(s.carrier, s.relation, involution, bottom, top)
                           for n, systems in drsi_by_size.items() for s in systems
                           for involution in (s.involution, None)
                           for bottom, top in bound_choices(n))
