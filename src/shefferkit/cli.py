@@ -51,7 +51,7 @@ from .relcore import (
     relation_properties,
     validate_drsi,
 )
-from .search import EnumerationResult, EnumerationSpec, _listing, find_model
+from .search import EnumerationResult, EnumerationSpec, _count, _listing, find_model
 from .sheffer import CATALOG, Groupoid, check_named, get_law, is_sheffer
 from .terms import LawVerdict, check_law, format_law, parse_law
 from .twistkleene import is_kleene, kleene_subsystem, twist_product, twist_sheffer
@@ -452,10 +452,12 @@ def cmd_enumerate(args) -> int:
         up_to_isomorphism=args.iso,
         limit=args.limit,
     )
-    result = EnumerationResult([], 0, 0.0, 0, 0)
-    # each model is printed as the search yields it, so none is kept
-    for g in _listing(spec, result, build=not args.count):
-        if not args.count:
+    if args.count:
+        result = _count(spec)
+    else:
+        result = EnumerationResult([], 0, 0.0, 0, 0)
+        # each model is printed as the search yields it, so none is kept
+        for g in _listing(spec, result):
             if result.count > 1:
                 print()
             print(f"# model {result.count}")

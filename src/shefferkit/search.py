@@ -20,16 +20,18 @@ source cells and an element map, prepared once, and at every node it is
 read against the known cells of the partial table up to the first
 difference: a smaller relabeled table cuts the subtree, a larger one drops
 the relabeling below the node.  Those left at a complete table are its
-automorphisms, against which ``_models`` breaks ties on the bounds.
+automorphisms, against which ``_models`` breaks ties on the bounds and
+``_count`` sizes the orbit of each class it sums.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .relcore import (
@@ -99,7 +101,9 @@ class EnumerationSpec:
 class EnumerationResult:
     """Models kept (none when only counting), branching nodes tried, wall
     time, cells that propagation set (a commutative mirror is not counted
-    again), and the number of models."""
+    again), and the number of models.  A count (``count_models``, ``enumerate
+    --count``) reports the nodes and forced cells of the search up to
+    isomorphism, which it walks whether or not the spec asks for classes."""
 
     groupoids: list[Groupoid]
     nodes: int
@@ -337,32 +341,28 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
     return kept
 
 
-def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
-            build: bool = True) -> Iterator[Optional[Groupoid]]:
-    """The models among complete tables, one table at a time: with bounds
-    each table is crossed with every bottom and top, and the forbidden laws
-    and the required laws with constants filter.  Each table comes with the
-    relabelings other than the identity that leave its cells as they are,
-    which the search finds under ``up_to_isomorphism`` (none otherwise); only
-    bounds that no automorphism maps to a smaller pair are kept, so each
-    isomorphism class keeps its least member (see ``_narrow``).  Rows
-    share equal tuples, and the cells lie in the carrier by construction,
-    so the groupoids are built unvalidated.  Without ``build``, and with
-    nothing to check on a groupoid, each model is yielded as None."""
+def _models(spec: EnumerationSpec,
+            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[Groupoid, list]]:
+    """The models among complete tables, one table at a time, each with the
+    automorphisms of its table: with bounds each table is crossed with every
+    bottom and top, and the forbidden laws and the required laws with
+    constants filter.  Each table comes with the relabelings other than the
+    identity that leave its cells as they are, which the search finds under
+    ``up_to_isomorphism`` (none otherwise); only bounds that no automorphism
+    maps to a smaller pair are kept, so each isomorphism class keeps its
+    least member (see ``_narrow``).  Rows share equal tuples, and the cells
+    lie in the carrier by construction, so the groupoids are built
+    unvalidated."""
     n = spec.size
     carrier = Carrier.of_size(n)
     const_require = [law for law in spec.require if law.constants]
     bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
-    build = build or bool(spec.forbid or const_require)
     rows_of: dict[bytes, tuple[int, ...]] = {}
     for flat, automorphisms in tables:
         kept = bounds
         if automorphisms and spec.with_bounds:
             kept = [(bottom, top) for bottom, top in bounds
                     if all((perm[bottom], perm[top]) >= (bottom, top) for _, perm in automorphisms)]
-        if not build:
-            yield from itertools.repeat(None, len(kept))
-            continue
         rows = []
         for i in range(0, n * n, n):
             chunk = flat[i:i + n]
@@ -376,20 +376,49 @@ def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
             if any(check_law(g, law).holds for law in spec.forbid) or \
                     not all(check_law(g, law).holds for law in const_require):
                 continue
-            yield g
+            yield g, automorphisms
 
 
-def _listing(spec: EnumerationSpec, result: EnumerationResult,
-             build: bool = True) -> Iterator[Optional[Groupoid]]:
-    """The first ``spec.limit`` models of the listing, one at a time (None
-    for a model that ``_models`` need not build).  The search adds its
-    branching nodes and forced cells to ``result``, each model adds one to
-    ``result.count``, and the end of the stream sets ``result.seconds``."""
+def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
+    """The first ``spec.limit`` models of the listing, one at a time.  The
+    search adds its branching nodes and forced cells to ``result``, each
+    model adds one to ``result.count``, and the end of the stream sets
+    ``result.seconds``."""
     start = time.perf_counter()
-    for g in itertools.islice(_models(spec, _search_tables(spec, result), build), spec.limit):
+    for g, _ in itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit):
         result.count += 1
         yield g
     result.seconds = time.perf_counter() - start
+
+
+def _count(spec: EnumerationSpec) -> EnumerationResult:
+    """The number of models of the spec, at most ``spec.limit``, summed over
+    the tree of the ``up_to_isomorphism`` search, with no groupoid kept.
+
+    Each model that ``_models`` keeps there, a class representative with
+    one of its kept bottom and top pairs, weighs 1 under
+    ``up_to_isomorphism``.  Otherwise it weighs the size of its orbit under
+    the n! relabelings, n!/|Stab|, where Stab is the identity and the
+    automorphisms of its table that fix its bottom and top (McKay 1998).
+    A forbidden law or a law with constants holds on every member of a
+    class alike, so it is checked once, on the representative.  The sum
+    stops as soon as it reaches the limit."""
+    start = time.perf_counter()
+    result = EnumerationResult([], 0, 0.0, 0, 0)
+    classes = replace(spec, up_to_isomorphism=True)
+    relabelings = math.factorial(spec.size)
+    weights = (1 if spec.up_to_isomorphism else
+               relabelings // (1 + sum(g.bottom is None or
+                                       (perm[g.bottom], perm[g.top]) == (g.bottom, g.top)
+                                       for _, perm in automorphisms))
+               for g, automorphisms in _models(classes, _search_tables(classes, result)))
+    limit = math.inf if spec.limit is None else spec.limit
+    for total in itertools.accumulate(weights, initial=0):
+        if total >= limit:
+            break
+    result.count = min(total, limit)
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
@@ -400,7 +429,10 @@ def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
 
 
 def count_models(spec: EnumerationSpec) -> int:
-    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0), build=False))
+    """The number of models that ``run_enumeration`` would list, at most
+    ``spec.limit``: the sum over the isomorphism classes of the size of
+    each orbit, or 1 per class under ``up_to_isomorphism`` (see ``_count``)."""
+    return _count(spec).count
 
 
 def find_model(require: Sequence, forbid: Sequence, max_size: int) -> Optional[Groupoid]:

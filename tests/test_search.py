@@ -116,6 +116,11 @@ class TestShefferCounts:
         res = run_enumeration(spec_sheffer(4))
         assert res.nodes == 20268 < 105820
 
+    def test_size_five_count(self):
+        # walking every labelled model took 54 s; the orbit sum over the
+        # 30,755 classes takes under a second
+        assert count_models(spec_sheffer(5)) == 3617108
+
     def test_size_five_commutative(self):
         assert count_models(spec_sheffer(5, "COMM")) == 2080
 
@@ -151,19 +156,22 @@ class TestStreaming:
         assert peak < 256 * 1024
 
     def test_count_builds_no_unchecked_models(self, monkeypatch):
-        # a count with nothing to check on a groupoid built all 5450
+        # a count with nothing to check on a groupoid once built all 5450;
+        # the orbit count builds one per kept class representative
         built = []
         unchecked = Groupoid._unchecked
         monkeypatch.setattr(search.Groupoid, "_unchecked",
                             lambda *args: built.append(args) or unchecked(*args))
         assert count_models(spec_sheffer(4)) == 5450
+        assert len(built) == 270
         assert count_models(spec_sheffer(3, with_bounds=True, up_to_isomorphism=True)) == 80
         assert run_cli(["enumerate", "-n", "4", "--require", "AX1,AX2", "--count"])[1] == "5450\n"
-        assert built == []
-        # a forbidden law or a law with constants is checked on the groupoid
+        assert len(built) == 270 + 80 + 270
+        # a forbidden law or a law with constants is checked on the
+        # representative (the plain walk checked all 52 and 52 * 9)
         assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
         assert count_models(spec_sheffer(3, "BOUND0", with_bounds=True)) == 198
-        assert len(built) == 52 + 52 * 9
+        assert len(built) == 270 + 80 + 270 + 11 + 80
 
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB

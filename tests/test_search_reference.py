@@ -11,12 +11,14 @@ is the earlier nested filter, which tested directedness once per
 walk over period-two maps.  ``ref_least_member`` is the earlier per-model
 loop of ``up_to_isomorphism``, which built relabeled rows through
 ``ref_relabeled`` (a copy of the earlier least-relabeling step) until one
-was smaller.  They stay here as the reference that ``canonical_form``,
-``up_to_isomorphism``, the node check ``_narrow`` with the bounds
-tie-break of ``_models``, ``enumerate_drsi`` and ``_involutions`` must
-agree with exactly: the same isomorphism partition, the same
-representatives, the same verdicts, and the same systems and maps in the
-same order.
+was smaller.  ``ref_count_models`` is the earlier count, one by one over
+the models of the listing's search tree.  They stay here as the reference
+that ``canonical_form``, ``up_to_isomorphism``, the node check ``_narrow``
+with the bounds tie-break of ``_models``, the orbit sums of
+``count_models``, ``enumerate_drsi`` and ``_involutions`` must agree with
+exactly: the same isomorphism partition, the same representatives, the
+same verdicts, the same counts, and the same systems and maps in the same
+order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the table search as measured before its propagation step was made lighter;
@@ -32,6 +34,7 @@ from shefferkit import (
     BinaryRelation,
     Carrier,
     ElementMap,
+    EnumerationResult,
     EnumerationSpec,
     Groupoid,
     RelationalSystem,
@@ -42,7 +45,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _involutions, _models, _narrow, _relabelings
+from shefferkit.search import _count, _involutions, _listing, _models, _narrow, _relabelings
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,10 @@ def ref_involutions(n):
     yield from rec(0)
 
 
+def ref_count_models(spec):
+    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -272,6 +279,13 @@ class TestIsomorphismClassesReference:
         # relabelings hold the 5450 labelled models, each once
         assert_orbit_sums(4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_equal_the_plain_walk(self, n):
+        for kw in iso_specs(n):
+            for iso, limit in itertools.product((False, True), (0, 1, 7, None)):
+                spec = EnumerationSpec(**kw, up_to_isomorphism=iso, limit=limit)
+                assert count_models(spec) == ref_count_models(spec), (kw, iso, limit)
+
 
 def assert_orbit_sums(n):
     """For each spec at size n, the orbits of its classes under the n!
@@ -284,7 +298,7 @@ def assert_orbit_sums(n):
         for g in run_enumeration(EnumerationSpec(**kw, up_to_isomorphism=True)).groupoids:
             own = ref_relabel_groupoid(g, perms[0])
             orbits += len(perms) // sum(ref_relabel_groupoid(g, p) == own for p in perms)
-        assert orbits == count_models(EnumerationSpec(**kw)), kw
+        assert orbits == ref_count_models(EnumerationSpec(**kw)), kw
 
 
 def kept_bounds(flat, n, relabelings, with_bounds):
@@ -293,8 +307,8 @@ def kept_bounds(flat, n, relabelings, with_bounds):
     live = _narrow(flat, relabelings)
     if live is None:
         return set()
-    return {(g.bottom, g.top) for g in _models(EnumerationSpec(n, with_bounds=with_bounds),
-                                               [(bytes(flat), live)])}
+    return {(g.bottom, g.top) for g, _ in _models(EnumerationSpec(n, with_bounds=with_bounds),
+                                                  [(bytes(flat), live)])}
 
 
 def universe(n):
@@ -430,6 +444,23 @@ class TestSearchTreePins:
         result = run_enumeration(spec)
         assert (result.count, result.nodes, result.forced) == ISO_BOUNDED_SEARCH_TREES[key]
         assert result.nodes <= BOUNDED_SEARCH_TREES[key][1]
+
+
+class TestCountTreePins:
+    """A count walks the tree of the search up to isomorphism, whether or
+    not the spec asks for classes, and sums the orbits of its models."""
+
+    @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
+    def test_size_four(self, laws):
+        result = _count(EnumerationSpec(4, laws))
+        assert (result.count, result.nodes, result.forced) == \
+            SEARCH_TREES[laws][:1] + ISO_SEARCH_TREES[laws][1:]
+
+    @pytest.mark.parametrize("key", sorted(ISO_BOUNDED_SEARCH_TREES))
+    def test_size_three_with_bounds(self, key):
+        result = _count(EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True))
+        assert (result.count, result.nodes, result.forced) == \
+            BOUNDED_SEARCH_TREES[key][:1] + ISO_BOUNDED_SEARCH_TREES[key][1:]
 
 
 class TestDrsiEnumerationReference:
