@@ -10,18 +10,22 @@ cell, or forces a value, when one side of an identity (or of the conclusion
 of a quasi-identity whose premises hold) is known and the other side lacks
 only its outermost cell.  Forced cells join the same propagation queue;
 a trail undoes assignments and list moves on backtrack.
+With bounds, the bottom and the top are two more cells after the table's,
+as constants are 0-ary cells in SEM and Mace4, so a law naming 0 or 1 is
+ground, prunes and forces like any other.
 The search branches only on the next unknown cell in diagonal-first order
-(the defining axioms pin x|x down fastest), then row-major.  Below each
-complete diagonal the tables come in lexicographic order; the runs are
-merged into one sorted stream, which ``_models`` filters one table at a time.
+(the defining axioms pin x|x down fastest), then row-major, then bottom and
+top.  Below each complete diagonal the tables come in lexicographic order;
+the runs are merged into one sorted stream, which ``_models`` filters one
+table at a time.
 Up to isomorphism the search keeps only the least member of each class
 (orderly generation: Read 1978, McKay 1998).  Each relabeling is a list of
 source cells and an element map, prepared once, and at every node it is
 read against the known cells of the partial table up to the first
 difference: a smaller relabeled table cuts the subtree, a larger one drops
 the relabeling below the node.  Those left at a complete table are its
-automorphisms, against which ``_models`` breaks ties on the bounds and
-``_count`` sizes the orbit of each class it sums.
+automorphisms that fix the bounds, by which ``_count`` sizes the orbit of
+each class it sums.
 """
 
 from __future__ import annotations
@@ -72,9 +76,10 @@ class EnumerationSpec:
     """What to enumerate: carrier size, laws to satisfy, laws to violate.
 
     ``require``/``forbid`` accept catalog keys or Law values.  Laws that
-    mention '0'/'1' need ``with_bounds``, which multiplies each passing
-    table by all designations of bottom and top.  A required ``x|y = y|x``
-    (catalog key COMM, in any spelling) makes the search mirror each cell.
+    mention '0'/'1' need ``with_bounds``, under which a model is a table
+    with a designated bottom and top, searched as two more cells.  A
+    required ``x|y = y|x`` (catalog key COMM, in any spelling) makes the
+    search mirror each cell.
     """
 
     size: int
@@ -92,18 +97,19 @@ class EnumerationSpec:
         if not self.with_bounds:
             for law in self.require + self.forbid:
                 if law.constants:
-                    raise ValueError("laws with constants need with_bounds")
+                    raise ValueError("laws with constants need with_bounds (--with-bounds)")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be at least 0")
 
 
 @dataclass
 class EnumerationResult:
-    """Models kept (none when only counting), branching nodes tried, wall
-    time, cells that propagation set (a commutative mirror is not counted
-    again), and the number of models.  A count (``count_models``, ``enumerate
-    --count``) reports the nodes and forced cells of the search up to
-    isomorphism, which it walks whether or not the spec asks for classes."""
+    """Models kept (none when only counting), branching nodes tried (on
+    the bottom and top too), wall time, cells that propagation set (a
+    commutative mirror is not counted again), and the number of models.  A
+    count (``count_models``, ``enumerate --count``) reports the nodes and
+    forced cells of the search up to isomorphism, which it walks whether or
+    not the spec asks for classes."""
 
     groupoids: list[Groupoid]
     nodes: int
@@ -117,12 +123,12 @@ class EnumerationResult:
 # instructions (a, b): an operand k < 0 is the result of instruction ~k of
 # the same side, a literal left operand is stored times n and a literal
 # right operand as it is, so a cell of literals is a + b; the side's value
-# is that of its last instruction.
+# is that of its last instruction.  A constant is an instruction of its own
+# that reads the bound cell: (n * n, 0) the bottom, (n * n, 1) the top.
 
 
 def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
-    """Every constant-free law at every assignment of its variables, as
-    flat instances."""
+    """Every law at every assignment of its variables, as flat instances."""
     out = []
     for law in laws:
         # each side compiles on its own, so its instructions keep the side's
@@ -130,15 +136,16 @@ def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
         sides = []
         for t in law.sides:
             prog = _compile([t])
-            sides.append(([law.variables.index(name) for name in prog.names], prog.apps,
-                          prog.roots[0], [~i for i in range(len(prog.apps))]))
+            reads = tuple((n * n, ("bottom", "top").index(which)) for which in prog.consts)
+            sides.append(([law.variables.index(name) for name in prog.names], reads, prog.apps,
+                          prog.roots[0], [~i for i in range(len(reads) + len(prog.apps))]))
         for combo in itertools.product(range(n), repeat=len(law.variables)):
             ground = []
-            for pos, apps, root, results in sides:
+            for pos, reads, apps, root, results in sides:
                 rights = [combo[p] for p in pos] + results
                 lefts = [combo[p] * n for p in pos] + results
                 ground.append(rights[root] if root < len(pos) else
-                              tuple((lefts[a], rights[b]) for a, b in apps))
+                              reads + tuple((lefts[a], rights[b]) for a, b in apps))
             eqs = list(zip(ground[0::2], ground[1::2]))
             out.append((tuple(eqs[:-1]), eqs[-1]))
     return out
@@ -158,11 +165,13 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
 
 def _search_tables(spec: EnumerationSpec,
                    result: EnumerationResult) -> Iterator[tuple[bytes, list]]:
-    """Yield each complete table satisfying the constant-free required laws
-    in lexicographic order, with its automorphisms, adding branching nodes
-    and cells forced by propagation to ``result``.
+    """Yield each complete table satisfying the required laws in
+    lexicographic order, with its automorphisms, adding branching nodes and
+    cells forced by propagation to ``result``.
 
-    Cells are flat indices ``i * n + j``; ``table`` holds -1 where unknown.
+    Cells are flat indices ``i * n + j``; with bounds the bottom is cell
+    ``n * n`` and the top ``n * n + 1``, so a table's bytes end with them.
+    ``table`` holds -1 where unknown.
     Each undecided instance sits on the watch list of one unknown cell that
     blocks it.  Assigning a cell re-examines only that cell's list: an
     instance is decided, moves to the list of its next blocking cell, or
@@ -171,19 +180,22 @@ def _search_tables(spec: EnumerationSpec,
 
     Each complete diagonal starts a run on its own copy of ``table`` and
     the watch lists.  A run branches on the later cells in row-major order,
-    every earlier cell known, so it yields sorted tables; the runs are merged.
+    then on the bottom and the top, every earlier cell known, so it yields
+    sorted tables; the runs are merged.
 
     Under ``up_to_isomorphism`` every node narrows the live relabelings
     (``_narrow``), starting from all but the identity, and a table comes
-    paired with those left, its automorphisms; otherwise the list is empty.
+    paired with those left, its automorphisms that fix the bounds;
+    otherwise the list is empty.
     """
     n = spec.size
-    size = n * n
-    order = [i * n + j for i, j in _cell_order(n)]
+    size = n * n + 2 if spec.with_bounds else n * n
+    bounds = list(range(n * n, size))
+    order = [i * n + j for i, j in _cell_order(n)] + bounds
     # a required commutativity law is kept by mirroring each assigned cell,
     # so it is not ground
     commutative = any(_is_commutativity(law) for law in spec.require)
-    mirror = [(c % n) * n + c // n if commutative else c for c in range(size)]
+    mirror = [(c % n) * n + c // n if commutative else c for c in range(n * n)] + bounds
 
     def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool,
                relabelings: list) -> Iterator:
@@ -295,7 +307,7 @@ def _search_tables(spec: EnumerationSpec,
         if all(examine(inst, queue) for inst in instances) and propagate(queue):
             yield from rec(0, relabelings)
 
-    prunable = [law for law in spec.require if not law.constants and not _is_commutativity(law)]
+    prunable = [law for law in spec.require if not _is_commutativity(law)]
     relabelings = _relabelings(n) if spec.up_to_isomorphism else []
     runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True, relabelings)
     yield from heapq.merge(*runs)
@@ -304,13 +316,15 @@ def _search_tables(spec: EnumerationSpec,
 def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
     """Each relabeling of range(n) but the identity, in the order of the
     inverse permutations: the source cell of each relabeled cell in
-    row-major order, and the element map."""
+    row-major order, then the bottom and top cells, each its own source
+    (``_narrow`` reads them only on a table that has them), and the element
+    map."""
     out = []
     for inv in itertools.islice(itertools.permutations(range(n)), 1, None):
         perm = [0] * n
         for a, i in enumerate(inv):
             perm[i] = a
-        out.append(([i * n + j for i in inv for j in inv], perm))
+        out.append(([i * n + j for i in inv for j in inv] + [n * n, n * n + 1], perm))
     return out
 
 
@@ -318,11 +332,12 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
     """The relabelings of ``live`` that still tie with the partial table
     (-1 where unknown), or None when one comes first.
 
-    Each relabeled cell is read in row-major order while it and its source
-    cell are known.  A first difference that is smaller means every
-    completion has a smaller relabeling; a larger one drops the relabeling;
-    a tie up to an unknown cell keeps it.  On a complete table the kept
-    relabelings are the automorphisms of its cells."""
+    Each relabeled cell is read in row-major order, then the bottom and
+    the top, while it and its source cell are known.  A first difference
+    that is smaller means every completion has a smaller relabeling; a
+    larger one drops the relabeling; a tie up to an unknown cell keeps it.
+    On a complete table the kept relabelings are the automorphisms of its
+    cells that fix its bounds."""
     kept = []
     for relabeling in live:
         sources, perm = relabeling
@@ -343,26 +358,15 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
 
 def _models(spec: EnumerationSpec,
             tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[Groupoid, list]]:
-    """The models among complete tables, one table at a time, each with the
-    automorphisms of its table: with bounds each table is crossed with every
-    bottom and top, and the forbidden laws and the required laws with
-    constants filter.  Each table comes with the relabelings other than the
-    identity that leave its cells as they are, which the search finds under
-    ``up_to_isomorphism`` (none otherwise); only bounds that no automorphism
-    maps to a smaller pair are kept, so each isomorphism class keeps its
-    least member (see ``_narrow``).  Rows share equal tuples, and the cells
-    lie in the carrier by construction, so the groupoids are built
-    unvalidated."""
+    """The models among complete tables, one at a time, each with the
+    automorphisms the search left it: the bytes split into rows and, with
+    bounds, the bottom and top, and the forbidden laws filter.  Rows share
+    equal tuples, and the cells lie in the carrier by construction, so the
+    groupoids are built unvalidated."""
     n = spec.size
     carrier = Carrier.of_size(n)
-    const_require = [law for law in spec.require if law.constants]
-    bounds = list(itertools.product(range(n), repeat=2)) if spec.with_bounds else [(None, None)]
     rows_of: dict[bytes, tuple[int, ...]] = {}
     for flat, automorphisms in tables:
-        kept = bounds
-        if automorphisms and spec.with_bounds:
-            kept = [(bottom, top) for bottom, top in bounds
-                    if all((perm[bottom], perm[top]) >= (bottom, top) for _, perm in automorphisms)]
         rows = []
         for i in range(0, n * n, n):
             chunk = flat[i:i + n]
@@ -370,12 +374,9 @@ def _models(spec: EnumerationSpec,
             if row is None:
                 row = rows_of[chunk] = tuple(chunk)
             rows.append(row)
-        table = tuple(rows)
-        for bottom, top in kept:
-            g = Groupoid._unchecked(carrier, table, bottom, top)
-            if any(check_law(g, law).holds for law in spec.forbid) or \
-                    not all(check_law(g, law).holds for law in const_require):
-                continue
+        bottom, top = flat[n * n:] or (None, None)
+        g = Groupoid._unchecked(carrier, tuple(rows), bottom, top)
+        if not any(check_law(g, law).holds for law in spec.forbid):
             yield g, automorphisms
 
 
@@ -395,23 +396,19 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     """The number of models of the spec, at most ``spec.limit``, summed over
     the tree of the ``up_to_isomorphism`` search, with no groupoid kept.
 
-    Each model that ``_models`` keeps there, a class representative with
-    one of its kept bottom and top pairs, weighs 1 under
+    Each class representative that ``_models`` keeps there weighs 1 under
     ``up_to_isomorphism``.  Otherwise it weighs the size of its orbit under
-    the n! relabelings, n!/|Stab|, where Stab is the identity and the
-    automorphisms of its table that fix its bottom and top (McKay 1998).
-    A forbidden law or a law with constants holds on every member of a
-    class alike, so it is checked once, on the representative.  The sum
-    stops as soon as it reaches the limit."""
+    the n! relabelings, n!/(1 + |automorphisms|), the automorphisms being
+    those the search leaves at the leaf, which fix the bounds (McKay 1998).
+    A forbidden law holds on every member of a class alike, so it is
+    checked once, on the representative.  The sum stops as soon as it
+    reaches the limit."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
     classes = replace(spec, up_to_isomorphism=True)
     relabelings = math.factorial(spec.size)
-    weights = (1 if spec.up_to_isomorphism else
-               relabelings // (1 + sum(g.bottom is None or
-                                       (perm[g.bottom], perm[g.top]) == (g.bottom, g.top)
-                                       for _, perm in automorphisms))
-               for g, automorphisms in _models(classes, _search_tables(classes, result)))
+    weights = (1 if spec.up_to_isomorphism else relabelings // (1 + len(automorphisms))
+               for _, automorphisms in _models(classes, _search_tables(classes, result)))
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:

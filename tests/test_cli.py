@@ -30,6 +30,8 @@ ERROR_CASES = [
     (["twist-op", "tests/data/lproj.grp"], "not a Sheffer"),
     (["enumerate", "-n", "9"], "must be in 1..5"),
     (["enumerate", "-n", "2", "--require", "NOPE"], "unknown law key"),
+    (["enumerate", "-n", "2", "--require", "BOUND0"],
+     "laws with constants need with_bounds (--with-bounds)"),
     (["enumerate", "-n", "2", "--require", "AX1,AX2", "--limit", "-1", "--count"],
      "limit must be at least 0"),
     (["hom", "--groupoid", "--strong", "tests/data/ex1.grp", "tests/data/ex1.grp"],

@@ -167,11 +167,13 @@ class TestStreaming:
         assert count_models(spec_sheffer(3, with_bounds=True, up_to_isomorphism=True)) == 80
         assert run_cli(["enumerate", "-n", "4", "--require", "AX1,AX2", "--count"])[1] == "5450\n"
         assert len(built) == 270 + 80 + 270
-        # a forbidden law or a law with constants is checked on the
-        # representative (the plain walk checked all 52 and 52 * 9)
+        # a forbidden law is checked on the representative (the plain walk
+        # checked all 52); a law with constants prunes inside the search,
+        # so only the 35 classes of its models are built (crossing the 11
+        # table classes with their bounds built 80)
         assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
         assert count_models(spec_sheffer(3, "BOUND0", with_bounds=True)) == 198
-        assert len(built) == 270 + 80 + 270 + 11 + 80
+        assert len(built) == 270 + 80 + 270 + 11 + 35
 
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB
@@ -357,6 +359,17 @@ class TestWithBounds:
                     expect.append((table, bottom, top))
         assert sorted(got) == sorted(expect)
         assert len(got) == 10
+
+    def test_constant_laws_prune_inside_the_search(self, monkeypatch):
+        # crossing each table with every bottom and top checked COMPL once
+        # per (table, bottom, top); the search now grounds it like any law
+        laws = []
+        check = search.check_law
+        monkeypatch.setattr(search, "check_law", lambda g, law: laws.append(law) or check(g, law))
+        spec = spec_sheffer(4, "COMPL", with_bounds=True)
+        assert len(run_enumeration(spec).groupoids) == 192
+        assert count_models(spec) == 192
+        assert not any(law in spec.require for law in laws)
 
 
 class TestRandomLawSets:

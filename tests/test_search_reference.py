@@ -12,13 +12,18 @@ walk over period-two maps.  ``ref_least_member`` is the earlier per-model
 loop of ``up_to_isomorphism``, which built relabeled rows through
 ``ref_relabeled`` (a copy of the earlier least-relabeling step) until one
 was smaller.  ``ref_count_models`` is the earlier count, one by one over
-the models of the listing's search tree.  They stay here as the reference
-that ``canonical_form``, ``up_to_isomorphism``, the node check ``_narrow``
-with the bounds tie-break of ``_models``, the orbit sums of
-``count_models``, ``enumerate_drsi`` and ``_involutions`` must agree with
-exactly: the same isomorphism partition, the same representatives, the
-same verdicts, the same counts, and the same systems and maps in the same
-order.
+the models of the listing's search tree.  ``ref_bounded_models`` is the
+earlier handling of bounds, which crossed each table of the constant-free
+search with every bottom and top, kept the pairs that passed the
+automorphism tie-break ``ref_kept_pairs`` and filtered them through
+``check_law`` on the required laws with constants and on the forbidden
+laws; ``ref_orbit_weight`` is the earlier bound-fixing stabilizer weight of
+a count.  They stay here as the reference that ``canonical_form``,
+``up_to_isomorphism``, the node check ``_narrow`` on a table and its bound
+cells, the bounded listing, the orbit sums of ``count_models``,
+``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
+isomorphism partition, the same representatives, the same verdicts, the
+same counts, and the same systems and maps in the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the table search as measured before its propagation step was made lighter;
@@ -27,6 +32,8 @@ pins the same figures up to isomorphism, where the search cuts subtrees.
 """
 
 import itertools
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -40,12 +47,13 @@ from shefferkit import (
     RelationalSystem,
     canonical_form,
     check_involution,
+    check_law,
     count_models,
     enumerate_drsi,
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _count, _involutions, _listing, _models, _narrow, _relabelings
+from shefferkit.search import _count, _involutions, _listing, _narrow, _relabelings, _search_tables
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,47 @@ def ref_count_models(spec):
     return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0)))
 
 
+def ref_kept_pairs(n, automorphisms):
+    """The (bottom, top) pairs that no automorphism of the table maps to a
+    smaller pair, so that each class keeps its least member."""
+    return [(bottom, top) for bottom, top in itertools.product(range(n), repeat=2)
+            if all((perm[bottom], perm[top]) >= (bottom, top) for _, perm in automorphisms)]
+
+
+def ref_bounded_models(spec):
+    """Each model of a spec with bounds and the automorphisms of its table:
+    every table of the search for the constant-free required laws, crossed
+    with the kept bottom and top pairs, and checked against the required
+    laws with constants and the forbidden laws."""
+    n = spec.size
+    carrier = Carrier.of_size(n)
+    const_require = [law for law in spec.require if law.constants]
+    free = replace(spec, require=tuple(law for law in spec.require if not law.constants),
+                   forbid=(), with_bounds=False)
+    for flat, automorphisms in _search_tables(free, EnumerationResult([], 0, 0.0, 0, 0)):
+        table = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+        for bottom, top in ref_kept_pairs(n, automorphisms):
+            g = Groupoid._unchecked(carrier, table, bottom, top)
+            if any(check_law(g, law).holds for law in spec.forbid) or \
+                    not all(check_law(g, law).holds for law in const_require):
+                continue
+            yield g, automorphisms
+
+
+def ref_orbit_weight(g, automorphisms):
+    """n!/|Stab|, Stab being the identity and the automorphisms of the
+    table that fix the bottom and top."""
+    return math.factorial(g.size) // (1 + sum((perm[g.bottom], perm[g.top]) == (g.bottom, g.top)
+                                              for _, perm in automorphisms))
+
+
+def ref_bounded_count(spec):
+    """The number of models, summed over the classes as ``_count`` did."""
+    classes = replace(spec, up_to_isomorphism=True)
+    return sum(1 if spec.up_to_isomorphism else ref_orbit_weight(g, automorphisms)
+               for g, automorphisms in ref_bounded_models(classes))
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -253,10 +302,18 @@ def iso_specs(n):
         for comm in ((), ("COMM",)):
             for forbid in ((), (banned,)):
                 yield dict(size=n, require=laws + comm, forbid=forbid)
+    yield from bounded_specs(n)
+
+
+def bounded_specs(n, forbidden=True):
+    """Keyword sets of the specs with bounds at size n: each law with
+    constants required, or with ``forbidden`` also forbidden, with and
+    without COMM."""
     for key in ("BOUND0", "BOUND1", "COMPL"):
         for comm in ((), ("COMM",)):
             yield dict(size=n, require=("AX1", "AX2", key) + comm, with_bounds=True)
-            yield dict(size=n, require=("AX1", "AX2") + comm, forbid=(key,), with_bounds=True)
+            if forbidden:
+                yield dict(size=n, require=("AX1", "AX2") + comm, forbid=(key,), with_bounds=True)
 
 
 class TestIsomorphismClassesReference:
@@ -287,6 +344,37 @@ class TestIsomorphismClassesReference:
                 assert count_models(spec) == ref_count_models(spec), (kw, iso, limit)
 
 
+def assert_same_bounded_models(specs):
+    """The listing, bounds and order included, and the count of each spec
+    equal the crossing of the constant-free search with the bounds, with
+    and without classes and at every limit."""
+    for kw, iso in itertools.product(specs, (False, True)):
+        spec = EnumerationSpec(**kw, up_to_isomorphism=iso)
+        want = [(g.table, g.bottom, g.top) for g, _ in ref_bounded_models(spec)]
+        total = ref_bounded_count(spec)
+        for limit in (0, 1, 7, None):
+            limited = replace(spec, limit=limit)
+            got = [(g.table, g.bottom, g.top) for g in run_enumeration(limited).groupoids]
+            assert got == want[:limit], (kw, iso, limit)
+            assert count_models(limited) == min(total, math.inf if limit is None else limit), \
+                (kw, iso, limit)
+
+
+class TestBoundedModelsReference:
+    """Bottom and top are two more cells of the table search; the models
+    are those of the earlier crossing of each table with its bounds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_models_below_size_four(self, n):
+        assert_same_bounded_models(bounded_specs(n))
+
+    @pytest.mark.slow
+    def test_same_models_on_size_four(self):
+        # about 4 s, most of it in the reference's 87,200 law checks per
+        # spec without COMM
+        assert_same_bounded_models(bounded_specs(4, forbidden=False))
+
+
 def assert_orbit_sums(n):
     """For each spec at size n, the orbits of its classes under the n!
     relabelings, sized through the reference relabeling, hold every
@@ -301,14 +389,13 @@ def assert_orbit_sums(n):
         assert orbits == ref_count_models(EnumerationSpec(**kw)), kw
 
 
-def kept_bounds(flat, n, relabelings, with_bounds):
-    """The (bottom, top) pairs under which the search and ``_models`` keep
-    the complete table as the least of its class."""
-    live = _narrow(flat, relabelings)
-    if live is None:
-        return set()
-    return {(g.bottom, g.top) for g, _ in _models(EnumerationSpec(n, with_bounds=with_bounds),
-                                                  [(bytes(flat), live)])}
+def kept_bounds(flat, n, relabelings):
+    """The bounds under which ``_narrow`` keeps the complete table as the
+    least of its class: (None, None) for the table alone, and each (bottom,
+    top) pair for the table followed by its two bound cells."""
+    kept = set() if _narrow(flat, relabelings) is None else {(None, None)}
+    return kept | {pair for pair in itertools.product(range(n), repeat=2)
+                   if _narrow([*flat, *pair], relabelings) is not None}
 
 
 def universe(n):
@@ -327,7 +414,7 @@ class TestLeastMemberReference:
             for g in models:
                 flat = [v for row in g.table for v in row]
                 for inv, one in zip(inverses, relabelings):
-                    kept = kept_bounds(flat, n, [one], False) | kept_bounds(flat, n, [one], True)
+                    kept = kept_bounds(flat, n, [one])
                     for bottom, top in [(None, None), *itertools.product(range(n), repeat=2)]:
                         got = (bottom, top) in kept
                         assert got == ref_least_member(Groupoid(g.carrier, g.table, bottom, top),
@@ -342,8 +429,7 @@ class TestLeastMemberReference:
         relabelings = _relabelings(n)
         for flat in universe(n):
             table = tuple(flat[i:i + n] for i in range(0, n * n, n))
-            kept = kept_bounds(flat, n, relabelings, False) | \
-                kept_bounds(flat, n, relabelings, True)
+            kept = kept_bounds(flat, n, relabelings)
             least = ref_least_member(Groupoid._unchecked(carrier, table, None, None), inverses)
             assert ((None, None) in kept) == least, table
             # the reference compares cells before bounds, so a table whose
@@ -397,7 +483,7 @@ SEARCH_TREES = {
     ("AX1", "AX2", "ANTISYM", "COMM"): (96, 596, 177),
 }
 # the same at n = 3 with bounds, per law with constants
-BOUNDED_SEARCH_TREES = {"BOUND0": (198, 177, 56), "BOUND1": (198, 177, 56), "COMPL": (0, 177, 56)}
+BOUNDED_SEARCH_TREES = {"BOUND0": (198, 531, 56), "BOUND1": (198, 801, 56), "COMPL": (0, 21, 19)}
 
 
 # (classes, nodes, forced) of the same specs up to isomorphism, where the
@@ -417,7 +503,7 @@ ISO_SEARCH_TREES = {
     ("AX1", "AX2", "ANTISYM"): (24, 480, 223),
     ("AX1", "AX2", "ANTISYM", "COMM"): (6, 92, 57),
 }
-ISO_BOUNDED_SEARCH_TREES = {"BOUND0": (35, 57, 24), "BOUND1": (35, 57, 24), "COMPL": (0, 57, 24)}
+ISO_BOUNDED_SEARCH_TREES = {"BOUND0": (35, 129, 24), "BOUND1": (35, 174, 24), "COMPL": (0, 12, 10)}
 
 
 class TestSearchTreePins:
