@@ -26,6 +26,13 @@ difference: a smaller relabeled table cuts the subtree, a larger one drops
 the relabeling below the node.  Those left at a complete table are its
 automorphisms that fix the bounds, by which ``_count`` sizes the orbit of
 each class it sums.
+A listing and a count both walk that class tree, so a forbidden law is
+checked once per class.  A plain listing expands each representative into
+its orbit and merges the orbits through one heap (``_orbits``), which is
+flushed up to each representative as it arrives.  That needs each
+representative to be the least member of its class in byte order, the
+order ``_narrow`` compares cells in; a narrowing in the search's own cell
+order would serve a count only.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .relcore import (
     BinaryRelation,
@@ -107,9 +115,9 @@ class EnumerationResult:
     """Models kept (none when only counting), branching nodes tried (on
     the bottom and top too), wall time, cells that propagation set (a
     commutative mirror is not counted again), and the number of models.  A
-    count (``count_models``, ``enumerate --count``) reports the nodes and
-    forced cells of the search up to isomorphism, which it walks whether or
-    not the spec asks for classes."""
+    listing and a count report the nodes and forced cells of the search up
+    to isomorphism, which they walk whether or not the spec asks for
+    classes."""
 
     groupoids: list[Groupoid]
     nodes: int
@@ -357,16 +365,26 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
 
 
 def _models(spec: EnumerationSpec,
-            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[Groupoid, list]]:
-    """The models among complete tables, one at a time, each with the
-    automorphisms the search left it: the bytes split into rows and, with
-    bounds, the bottom and top, and the forbidden laws filter.  Rows share
-    equal tuples, and the cells lie in the carrier by construction, so the
-    groupoids are built unvalidated."""
-    n = spec.size
+            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[Groupoid, bytes, list]]:
+    """The models among complete tables, one at a time, each with its bytes
+    and the automorphisms the search left it: the bytes split into rows
+    and, with bounds, the bottom and top, and the forbidden laws filter.
+    Rows share equal tuples, and the cells lie in the carrier by
+    construction, so the groupoids are built unvalidated."""
+    build = _builder(spec.size)
+    for flat, automorphisms in tables:
+        g = build(flat)
+        if not any(check_law(g, law).holds for law in spec.forbid):
+            yield g, flat, automorphisms
+
+
+def _builder(n: int) -> Callable[[bytes], Groupoid]:
+    """A function from a table's bytes to its unvalidated groupoid, whose
+    equal rows are one tuple."""
     carrier = Carrier.of_size(n)
     rows_of: dict[bytes, tuple[int, ...]] = {}
-    for flat, automorphisms in tables:
+
+    def build(flat: bytes) -> Groupoid:
         rows = []
         for i in range(0, n * n, n):
             chunk = flat[i:i + n]
@@ -375,18 +393,68 @@ def _models(spec: EnumerationSpec,
                 row = rows_of[chunk] = tuple(chunk)
             rows.append(row)
         bottom, top = flat[n * n:] or (None, None)
-        g = Groupoid._unchecked(carrier, tuple(rows), bottom, top)
-        if not any(check_law(g, law).holds for law in spec.forbid):
-            yield g, automorphisms
+        return Groupoid._unchecked(carrier, tuple(rows), bottom, top)
+
+    return build
+
+
+def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator[bytes]:
+    """Every member of the orbits of the class representatives under the
+    n! relabelings, in byte order.
+
+    The representatives must come in ascending byte order, each the least
+    member of its class, as the ``up_to_isomorphism`` search yields them
+    (a search that narrowed in another cell order would keep other
+    representatives).  When a representative arrives, every member of its
+    class and of each later class comes after it, so the heap of unprinted
+    members yields each entry below it, and then the representative.  An
+    orbit waits in the heap as its representative and a ``bytes`` of the
+    relabelings that give its other members, sorted by member; its entry
+    holds only the next member."""
+    n = spec.size
+    size = n * n + 2 if spec.with_bounds else n * n
+    relabelings = [(itemgetter(*sources[:size]), bytes(perm) + bytes(range(n, 256)))
+                   for sources, perm in _relabelings(n)]
+    heap: list[tuple[bytes, int, bytes, bytes]] = []
+    end = b"\xff"  # above every table, so it flushes the heap
+    for flat in itertools.chain(representatives, [end]):
+        while heap and heap[0][0] < flat:
+            member, k, rep, order = heap[0]
+            yield member
+            k += 1
+            if k < len(order):
+                cells, values = relabelings[order[k]]
+                heapq.heapreplace(heap, (bytes(cells(rep)).translate(values), k, rep, order))
+            else:
+                heapq.heappop(heap)
+        if flat is end:
+            return
+        yield flat
+        members = {bytes(cells(flat)).translate(values): i
+                   for i, (cells, values) in enumerate(relabelings)}
+        members.pop(flat, None)
+        if members:
+            ranked = sorted(members)
+            heapq.heappush(heap, (ranked[0], 0, flat, bytes(members[m] for m in ranked)))
 
 
 def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
-    """The first ``spec.limit`` models of the listing, one at a time.  The
-    search adds its branching nodes and forced cells to ``result``, each
-    model adds one to ``result.count``, and the end of the stream sets
-    ``result.seconds``."""
+    """The first ``spec.limit`` models of the listing, one at a time.
+
+    Either listing walks the tree of the ``up_to_isomorphism`` search, as a
+    count does, and checks the forbidden laws once per class
+    representative; a plain listing expands each representative into its
+    orbit (``_orbits``).  The search adds its branching nodes and forced
+    cells to ``result``, each model adds one to ``result.count``, and the
+    end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
-    for g, _ in itertools.islice(_models(spec, _search_tables(spec, result)), spec.limit):
+    classes = replace(spec, up_to_isomorphism=True)
+    models = _models(classes, _search_tables(classes, result))
+    if spec.up_to_isomorphism:
+        listed = (g for g, _, _ in models)
+    else:
+        listed = map(_builder(spec.size), _orbits(spec, (flat for _, flat, _ in models)))
+    for g in itertools.islice(listed, spec.limit):
         result.count += 1
         yield g
     result.seconds = time.perf_counter() - start
@@ -408,7 +476,7 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     classes = replace(spec, up_to_isomorphism=True)
     relabelings = math.factorial(spec.size)
     weights = (1 if spec.up_to_isomorphism else relabelings // (1 + len(automorphisms))
-               for _, automorphisms in _models(classes, _search_tables(classes, result)))
+               for _, _, automorphisms in _models(classes, _search_tables(classes, result)))
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:

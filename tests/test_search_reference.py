@@ -11,24 +11,27 @@ is the earlier nested filter, which tested directedness once per
 walk over period-two maps.  ``ref_least_member`` is the earlier per-model
 loop of ``up_to_isomorphism``, which built relabeled rows through
 ``ref_relabeled`` (a copy of the earlier least-relabeling step) until one
-was smaller.  ``ref_count_models`` is the earlier count, one by one over
-the models of the listing's search tree.  ``ref_bounded_models`` is the
-earlier handling of bounds, which crossed each table of the constant-free
-search with every bottom and top, kept the pairs that passed the
-automorphism tie-break ``ref_kept_pairs`` and filtered them through
-``check_law`` on the required laws with constants and on the forbidden
-laws; ``ref_orbit_weight`` is the earlier bound-fixing stabilizer weight of
-a count.  They stay here as the reference that ``canonical_form``,
-``up_to_isomorphism``, the node check ``_narrow`` on a table and its bound
-cells, the bounded listing, the orbit sums of ``count_models``,
-``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
+was smaller.  ``ref_models`` is the earlier listing, which walked the
+labelled search tree and kept every table it yielded, and
+``ref_count_models`` the earlier count, one by one over those models.
+``ref_bounded_models`` is the earlier handling of bounds, which crossed
+each table of the constant-free search with every bottom and top, kept
+the pairs that passed the automorphism tie-break ``ref_kept_pairs`` and
+filtered them through ``check_law`` on the required laws with constants
+and on the forbidden laws; ``ref_orbit_weight`` is the earlier
+bound-fixing stabilizer weight of a count.  They stay here as the
+reference that ``canonical_form``, ``up_to_isomorphism``, the node check
+``_narrow`` on a table and its bound cells, the listing by orbits, the
+bounded listing, the orbit sums of ``count_models``, ``enumerate_drsi``
+and ``_involutions`` must agree with exactly: the same
 isomorphism partition, the same representatives, the same verdicts, the
 same counts, and the same systems and maps in the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
-the table search as measured before its propagation step was made lighter;
-that change must leave the search tree as it was.  ``ISO_SEARCH_TREES``
-pins the same figures up to isomorphism, where the search cuts subtrees.
+the labelled table search as measured before its propagation step was
+made lighter; that change must leave the search tree as it was.
+``ISO_SEARCH_TREES`` pins the same figures up to isomorphism, where the
+search cuts subtrees; a listing and a count walk that tree.
 """
 
 import itertools
@@ -53,7 +56,7 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _count, _involutions, _listing, _narrow, _relabelings, _search_tables
+from shefferkit.search import _count, _involutions, _models, _narrow, _relabelings, _search_tables
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +199,17 @@ def ref_involutions(n):
     yield from rec(0)
 
 
+def ref_models(spec, result=None):
+    """The models of the spec in the order of its search tree, the limit
+    ignored: every labelled model, or under ``up_to_isomorphism`` the least
+    of each class.  The search adds its nodes and forced cells to
+    ``result``."""
+    result = result or EnumerationResult([], 0, 0.0, 0, 0)
+    return [g for g, _, _ in _models(spec, _search_tables(spec, result))]
+
+
 def ref_count_models(spec):
-    return sum(1 for _ in _listing(spec, EnumerationResult([], 0, 0.0, 0, 0)))
+    return len(ref_models(spec)[:spec.limit])
 
 
 def ref_kept_pairs(n, automorphisms):
@@ -320,7 +332,7 @@ class TestIsomorphismClassesReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_least_members_are_the_first_of_each_class(self, n):
         for kw in iso_specs(n):
-            want = ref_iso_representatives(run_enumeration(EnumerationSpec(**kw)).groupoids)
+            want = ref_iso_representatives(ref_models(EnumerationSpec(**kw)))
             spec = EnumerationSpec(**kw, up_to_isomorphism=True)
             assert run_enumeration(spec).groupoids == want, kw
             assert count_models(spec) == len(want), kw
@@ -342,6 +354,22 @@ class TestIsomorphismClassesReference:
             for iso, limit in itertools.product((False, True), (0, 1, 7, None)):
                 spec = EnumerationSpec(**kw, up_to_isomorphism=iso, limit=limit)
                 assert count_models(spec) == ref_count_models(spec), (kw, iso, limit)
+
+
+class TestListingByOrbitsReference:
+    """A plain listing walks the tree of the search up to isomorphism and
+    expands each class representative into its orbit; it lists the models
+    of the labelled search, in the same order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_models_in_same_order(self, n):
+        # iso_specs(n) holds bounded_specs(n) below size four
+        for kw in iso_specs(n):
+            spec = EnumerationSpec(**kw)
+            want = [(g.table, g.bottom, g.top) for g in ref_models(spec)]
+            for limit in (0, 1, 7, None):
+                got = run_enumeration(replace(spec, limit=limit)).groupoids
+                assert [(g.table, g.bottom, g.top) for g in got] == want[:limit], (kw, limit)
 
 
 def assert_same_bounded_models(specs):
@@ -506,17 +534,22 @@ ISO_SEARCH_TREES = {
 ISO_BOUNDED_SEARCH_TREES = {"BOUND0": (35, 129, 24), "BOUND1": (35, 174, 24), "COMPL": (0, 12, 10)}
 
 
+def labelled_tree(spec):
+    """(models, nodes, forced) of the labelled search for the spec."""
+    result = EnumerationResult([], 0, 0.0, 0, 0)
+    return len(ref_models(spec, result)), result.nodes, result.forced
+
+
 class TestSearchTreePins:
     @pytest.mark.parametrize("laws", list(dict.fromkeys(laws + comm for laws in SHEFFER_LAW_SETS
                                                         for comm in ((), ("COMM",)))), ids=",".join)
     def test_size_four(self, laws):
-        result = run_enumeration(EnumerationSpec(4, laws))
-        assert (result.count, result.nodes, result.forced) == SEARCH_TREES[laws]
+        assert labelled_tree(EnumerationSpec(4, laws)) == SEARCH_TREES[laws]
 
     @pytest.mark.parametrize("key", sorted(BOUNDED_SEARCH_TREES))
     def test_size_three_with_bounds(self, key):
-        result = run_enumeration(EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True))
-        assert (result.count, result.nodes, result.forced) == BOUNDED_SEARCH_TREES[key]
+        spec = EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True)
+        assert labelled_tree(spec) == BOUNDED_SEARCH_TREES[key]
 
     @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
     def test_size_four_up_to_isomorphism(self, laws):
@@ -533,20 +566,23 @@ class TestSearchTreePins:
 
 
 class TestCountTreePins:
-    """A count walks the tree of the search up to isomorphism, whether or
-    not the spec asks for classes, and sums the orbits of its models."""
+    """A count and a listing walk the tree of the search up to isomorphism,
+    whether or not the spec asks for classes; the count sums the orbits of
+    its models, the listing expands them."""
 
     @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
     def test_size_four(self, laws):
-        result = _count(EnumerationSpec(4, laws))
-        assert (result.count, result.nodes, result.forced) == \
-            SEARCH_TREES[laws][:1] + ISO_SEARCH_TREES[laws][1:]
+        spec = EnumerationSpec(4, laws)
+        for result in (_count(spec), run_enumeration(spec)):
+            assert (result.count, result.nodes, result.forced) == \
+                SEARCH_TREES[laws][:1] + ISO_SEARCH_TREES[laws][1:]
 
     @pytest.mark.parametrize("key", sorted(ISO_BOUNDED_SEARCH_TREES))
     def test_size_three_with_bounds(self, key):
-        result = _count(EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True))
-        assert (result.count, result.nodes, result.forced) == \
-            BOUNDED_SEARCH_TREES[key][:1] + ISO_BOUNDED_SEARCH_TREES[key][1:]
+        spec = EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True)
+        for result in (_count(spec), run_enumeration(spec)):
+            assert (result.count, result.nodes, result.forced) == \
+                BOUNDED_SEARCH_TREES[key][:1] + ISO_BOUNDED_SEARCH_TREES[key][1:]
 
 
 class TestDrsiEnumerationReference:
