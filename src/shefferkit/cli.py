@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .bridge import (
     ChoicePolicy,
@@ -196,11 +196,28 @@ def parse_groupoid_file(text: str) -> Groupoid:
 
 
 def format_groupoid_file(g: Groupoid) -> str:
-    names = g.carrier.names
-    lines = ["groupoid", "elements " + " ".join(names), "table"]
-    lines.extend(" ".join(names[v] for v in row) for row in g.table)
-    lines.extend(_bounds_lines(g))
-    return "\n".join(lines) + "\n"
+    return _groupoid_formatter(g.carrier)(g)
+
+
+def _groupoid_formatter(carrier: Carrier) -> Callable[[Groupoid], str]:
+    """A function from a groupoid on ``carrier`` to its file text, which
+    joins the names of each distinct row once, so a listing of many models
+    re-joins none of the rows they share."""
+    names = carrier.names
+    head = f"groupoid\nelements {' '.join(names)}\ntable"
+    rows: dict[tuple[int, ...], str] = {}
+
+    def format_groupoid(g: Groupoid) -> str:
+        lines = [head]
+        for row in g.table:
+            text = rows.get(row)
+            if text is None:
+                text = rows[row] = " ".join(names[v] for v in row)
+            lines.append(text)
+        lines.extend(_bounds_lines(g))
+        return "\n".join(lines) + "\n"
+
+    return format_groupoid
 
 
 def parse_map_file(text: str, src: Carrier, dst: Carrier) -> ElementMap:
@@ -456,12 +473,13 @@ def cmd_enumerate(args) -> int:
         result = _count(spec)
     else:
         result = EnumerationResult([], 0, 0.0, 0, 0)
+        format_model = _groupoid_formatter(Carrier.of_size(spec.size))
         # each model is printed as the search yields it, so none is kept
         for g in _listing(spec, result):
             if result.count > 1:
                 print()
             print(f"# model {result.count}")
-            print(format_groupoid_file(g), end="")
+            print(format_model(g), end="")
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")

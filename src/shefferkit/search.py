@@ -18,21 +18,20 @@ The search branches only on the next unknown cell in diagonal-first order
 top.  Below each complete diagonal the tables come in lexicographic order;
 the runs are merged into one sorted stream, which ``_models`` filters one
 table at a time.
-Up to isomorphism the search keeps only the least member of each class
-(orderly generation: Read 1978, McKay 1998).  Each relabeling is a list of
-source cells and an element map, prepared once, and at every node it is
-read against the known cells of the partial table up to the first
-difference: a smaller relabeled table cuts the subtree, a larger one drops
-the relabeling below the node.  Those left at a complete table are its
-automorphisms that fix the bounds, by which ``_count`` sizes the orbit of
-each class it sums.
-A listing and a count both walk that class tree, so a forbidden law is
-checked once per class.  A plain listing expands each representative into
-its orbit and merges the orbits through one heap (``_orbits``), which is
-flushed up to each representative as it arrives.  That needs each
-representative to be the least member of its class in byte order, the
-order ``_narrow`` compares cells in; a narrowing in the search's own cell
-order would serve a count only.
+The search narrows by the relabelings its caller passes and keeps only the
+least member of each class (orderly generation: Read 1978, McKay 1998).
+Each relabeling (``_relabelings``) is a list of source cells and an element
+map, and at every node it is read against the known cells of the partial
+table up to the first difference: a smaller relabeled table cuts the
+subtree, a larger one drops the relabeling below the node.  Those left at
+a complete table are its automorphisms that fix the bounds.
+A listing and a count both pass the n! - 1 relabelings, so a forbidden law
+is checked once per class; ``up_to_isomorphism`` only chooses whether a
+representative stands for itself or for its orbit (the weight n!/|Stab|,
+or the members merged through one heap by ``_orbits``).  The merge needs
+each representative to be the least member of its class in byte order,
+the order ``_narrow`` compares cells in; relabelings listed in the
+search's own cell order would serve a count only.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -115,9 +114,8 @@ class EnumerationResult:
     """Models kept (none when only counting), branching nodes tried (on
     the bottom and top too), wall time, cells that propagation set (a
     commutative mirror is not counted again), and the number of models.  A
-    listing and a count report the nodes and forced cells of the search up
-    to isomorphism, which they walk whether or not the spec asks for
-    classes."""
+    listing and a count report the nodes and forced cells of the class
+    tree, which they walk whether or not the spec asks for classes."""
 
     groupoids: list[Groupoid]
     nodes: int
@@ -171,11 +169,11 @@ def _cell_order(n: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _search_tables(spec: EnumerationSpec,
-                   result: EnumerationResult) -> Iterator[tuple[bytes, list]]:
-    """Yield each complete table satisfying the required laws in
-    lexicographic order, with its automorphisms, adding branching nodes and
-    cells forced by propagation to ``result``.
+def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
+                   relabelings: list) -> Iterator[tuple[bytes, list]]:
+    """Yield in lexicographic order each complete table satisfying the
+    required laws that no relabeling makes smaller, with the relabelings
+    that fix it, adding branching nodes and forced cells to ``result``.
 
     Cells are flat indices ``i * n + j``; with bounds the bottom is cell
     ``n * n`` and the top ``n * n + 1``, so a table's bytes end with them.
@@ -191,10 +189,10 @@ def _search_tables(spec: EnumerationSpec,
     then on the bottom and the top, every earlier cell known, so it yields
     sorted tables; the runs are merged.
 
-    Under ``up_to_isomorphism`` every node narrows the live relabelings
-    (``_narrow``), starting from all but the identity, and a table comes
-    paired with those left, its automorphisms that fix the bounds;
-    otherwise the list is empty.
+    Every node narrows the live relabelings (``_narrow``), starting from
+    ``relabelings``: given ``_relabelings(n)`` the search yields the least
+    member of each class with its automorphisms that fix the bounds, given
+    none every table with an empty list.
     """
     n = spec.size
     size = n * n + 2 if spec.with_bounds else n * n
@@ -206,9 +204,9 @@ def _search_tables(spec: EnumerationSpec,
     mirror = [(c % n) * n + c // n if commutative else c for c in range(n * n)] + bounds
 
     def search(table: list[int], watch: list[list[tuple]], instances, diagonal: bool,
-               relabelings: list) -> Iterator:
+               live: list) -> Iterator:
         """Examine ``instances``, then yield a run per complete diagonal or
-        each complete table, narrowing ``relabelings`` at every node."""
+        each complete table, narrowing ``live`` at every node."""
         trail: list[int] = []
 
         def side(code: tuple) -> int:
@@ -313,10 +311,9 @@ def _search_tables(spec: EnumerationSpec,
 
         queue: list[int] = []
         if all(examine(inst, queue) for inst in instances) and propagate(queue):
-            yield from rec(0, relabelings)
+            yield from rec(0, live)
 
     prunable = [law for law in spec.require if not _is_commutativity(law)]
-    relabelings = _relabelings(n) if spec.up_to_isomorphism else []
     runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True, relabelings)
     yield from heapq.merge(*runs)
 
@@ -365,22 +362,23 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
 
 
 def _models(spec: EnumerationSpec,
-            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[Groupoid, bytes, list]]:
-    """The models among complete tables, one at a time, each with its bytes
-    and the automorphisms the search left it: the bytes split into rows
-    and, with bounds, the bottom and top, and the forbidden laws filter.
-    Rows share equal tuples, and the cells lie in the carrier by
-    construction, so the groupoids are built unvalidated."""
+            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[bytes, list]]:
+    """The tables on which no forbidden law holds, with their
+    automorphisms, one at a time; each groupoid is built once, and only to
+    check the forbidden laws."""
     build = _builder(spec.size)
     for flat, automorphisms in tables:
-        g = build(flat)
-        if not any(check_law(g, law).holds for law in spec.forbid):
-            yield g, flat, automorphisms
+        if spec.forbid:
+            g = build(flat)
+            if any(check_law(g, law).holds for law in spec.forbid):
+                continue
+        yield flat, automorphisms
 
 
 def _builder(n: int) -> Callable[[bytes], Groupoid]:
-    """A function from a table's bytes to its unvalidated groupoid, whose
-    equal rows are one tuple."""
+    """A function from a table's bytes to its unvalidated groupoid (the
+    cells lie in the carrier by construction), whose equal rows are one
+    tuple."""
     carrier = Carrier.of_size(n)
     rows_of: dict[bytes, tuple[int, ...]] = {}
 
@@ -398,13 +396,14 @@ def _builder(n: int) -> Callable[[bytes], Groupoid]:
     return build
 
 
-def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator[bytes]:
+def _orbits(spec: EnumerationSpec, relabelings: list,
+            representatives: Iterable[bytes]) -> Iterator[bytes]:
     """Every member of the orbits of the class representatives under the
-    n! relabelings, in byte order.
+    identity and ``relabelings``, the other n! - 1, in byte order.
 
     The representatives must come in ascending byte order, each the least
-    member of its class, as the ``up_to_isomorphism`` search yields them
-    (a search that narrowed in another cell order would keep other
+    member of its class, as the search narrowed by ``relabelings`` yields
+    them (relabelings listed in another cell order would keep other
     representatives).  When a representative arrives, every member of its
     class and of each later class comes after it, so the heap of unprinted
     members yields each entry below it, and then the representative.  An
@@ -413,8 +412,8 @@ def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator
     holds only the next member."""
     n = spec.size
     size = n * n + 2 if spec.with_bounds else n * n
-    relabelings = [(itemgetter(*sources[:size]), bytes(perm) + bytes(range(n, 256)))
-                   for sources, perm in _relabelings(n)]
+    prepared = [(itemgetter(*sources[:size]), bytes(perm) + bytes(range(n, 256)))
+                for sources, perm in relabelings]
     heap: list[tuple[bytes, int, bytes, bytes]] = []
     end = b"\xff"  # above every table, so it flushes the heap
     for flat in itertools.chain(representatives, [end]):
@@ -423,7 +422,7 @@ def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator
             yield member
             k += 1
             if k < len(order):
-                cells, values = relabelings[order[k]]
+                cells, values = prepared[order[k]]
                 heapq.heapreplace(heap, (bytes(cells(rep)).translate(values), k, rep, order))
             else:
                 heapq.heappop(heap)
@@ -431,7 +430,7 @@ def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator
             return
         yield flat
         members = {bytes(cells(flat)).translate(values): i
-                   for i, (cells, values) in enumerate(relabelings)}
+                   for i, (cells, values) in enumerate(prepared)}
         members.pop(flat, None)
         if members:
             ranked = sorted(members)
@@ -441,20 +440,17 @@ def _orbits(spec: EnumerationSpec, representatives: Iterable[bytes]) -> Iterator
 def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
     """The first ``spec.limit`` models of the listing, one at a time.
 
-    Either listing walks the tree of the ``up_to_isomorphism`` search, as a
-    count does, and checks the forbidden laws once per class
-    representative; a plain listing expands each representative into its
-    orbit (``_orbits``).  The search adds its branching nodes and forced
-    cells to ``result``, each model adds one to ``result.count``, and the
-    end of the stream sets ``result.seconds``."""
+    Either listing walks the class tree, as a count does, and checks the
+    forbidden laws once per class representative; a plain listing expands
+    each representative into its orbit (``_orbits``).  The search adds its
+    branching nodes and forced cells to ``result``, each model adds one to
+    ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
-    classes = replace(spec, up_to_isomorphism=True)
-    models = _models(classes, _search_tables(classes, result))
-    if spec.up_to_isomorphism:
-        listed = (g for g, _, _ in models)
-    else:
-        listed = map(_builder(spec.size), _orbits(spec, (flat for _, flat, _ in models)))
-    for g in itertools.islice(listed, spec.limit):
+    relabelings = _relabelings(spec.size)
+    listed = (flat for flat, _ in _models(spec, _search_tables(spec, result, relabelings)))
+    if not spec.up_to_isomorphism:
+        listed = _orbits(spec, relabelings, listed)
+    for g in itertools.islice(map(_builder(spec.size), listed), spec.limit):
         result.count += 1
         yield g
     result.seconds = time.perf_counter() - start
@@ -462,21 +458,22 @@ def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Group
 
 def _count(spec: EnumerationSpec) -> EnumerationResult:
     """The number of models of the spec, at most ``spec.limit``, summed over
-    the tree of the ``up_to_isomorphism`` search, with no groupoid kept.
+    the class tree, with no groupoid kept.
 
     Each class representative that ``_models`` keeps there weighs 1 under
     ``up_to_isomorphism``.  Otherwise it weighs the size of its orbit under
     the n! relabelings, n!/(1 + |automorphisms|), the automorphisms being
     those the search leaves at the leaf, which fix the bounds (McKay 1998).
     A forbidden law holds on every member of a class alike, so it is
-    checked once, on the representative.  The sum stops as soon as it
-    reaches the limit."""
+    checked once, on the representative, and a count with no forbidden
+    law builds no groupoid.  The sum stops as soon as it reaches the
+    limit."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    classes = replace(spec, up_to_isomorphism=True)
-    relabelings = math.factorial(spec.size)
-    weights = (1 if spec.up_to_isomorphism else relabelings // (1 + len(automorphisms))
-               for _, _, automorphisms in _models(classes, _search_tables(classes, result)))
+    group_order = math.factorial(spec.size)
+    tables = _search_tables(spec, result, _relabelings(spec.size))
+    weights = (1 if spec.up_to_isomorphism else group_order // (1 + len(automorphisms))
+               for _, automorphisms in _models(spec, tables))
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:

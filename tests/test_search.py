@@ -159,24 +159,23 @@ class TestStreaming:
         assert peak < 256 * 1024
 
     def test_count_builds_no_unchecked_models(self, monkeypatch):
-        # a count with nothing to check on a groupoid once built all 5450;
-        # the orbit count builds one per kept class representative
+        # a count with nothing to check on a groupoid once built all 5450,
+        # and then one per kept class representative (270); now it builds none
         built = []
         unchecked = Groupoid._unchecked
         monkeypatch.setattr(search.Groupoid, "_unchecked",
                             lambda *args: built.append(args) or unchecked(*args))
         assert count_models(spec_sheffer(4)) == 5450
-        assert len(built) == 270
         assert count_models(spec_sheffer(3, with_bounds=True, up_to_isomorphism=True)) == 80
         assert run_cli(["enumerate", "-n", "4", "--require", "AX1,AX2", "--count"])[1] == "5450\n"
-        assert len(built) == 270 + 80 + 270
-        # a forbidden law is checked on the representative (the plain walk
-        # checked all 52); a law with constants prunes inside the search,
-        # so only the 35 classes of its models are built (crossing the 11
-        # table classes with their bounds built 80)
-        assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
+        # a law with constants prunes inside the search, so it builds
+        # nothing either (building its 35 classes once cost 35 groupoids)
         assert count_models(spec_sheffer(3, "BOUND0", with_bounds=True)) == 198
-        assert len(built) == 270 + 80 + 270 + 11 + 35
+        assert len(built) == 0
+        # a forbidden law is checked on the representative, one groupoid
+        # each for the 11 classes (the plain walk checked all 52)
+        assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
+        assert len(built) == 11
 
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB

@@ -56,7 +56,8 @@ from shefferkit import (
     is_directed,
     run_enumeration,
 )
-from shefferkit.search import _count, _involutions, _models, _narrow, _relabelings, _search_tables
+from shefferkit.search import (_builder, _count, _involutions, _models, _narrow, _relabelings,
+                               _search_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,9 @@ def ref_models(spec, result=None):
     of each class.  The search adds its nodes and forced cells to
     ``result``."""
     result = result or EnumerationResult([], 0, 0.0, 0, 0)
-    return [g for g, _, _ in _models(spec, _search_tables(spec, result))]
+    relabelings = _relabelings(spec.size) if spec.up_to_isomorphism else []
+    build = _builder(spec.size)
+    return [build(flat) for flat, _ in _models(spec, _search_tables(spec, result, relabelings))]
 
 
 def ref_count_models(spec):
@@ -229,7 +232,8 @@ def ref_bounded_models(spec):
     const_require = [law for law in spec.require if law.constants]
     free = replace(spec, require=tuple(law for law in spec.require if not law.constants),
                    forbid=(), with_bounds=False)
-    for flat, automorphisms in _search_tables(free, EnumerationResult([], 0, 0.0, 0, 0)):
+    relabelings = _relabelings(n) if free.up_to_isomorphism else []
+    for flat, automorphisms in _search_tables(free, EnumerationResult([], 0, 0.0, 0, 0), relabelings):
         table = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
         for bottom, top in ref_kept_pairs(n, automorphisms):
             g = Groupoid._unchecked(carrier, table, bottom, top)
@@ -563,6 +567,18 @@ class TestSearchTreePins:
         result = run_enumeration(spec)
         assert (result.count, result.nodes, result.forced) == ISO_BOUNDED_SEARCH_TREES[key]
         assert result.nodes <= BOUNDED_SEARCH_TREES[key][1]
+
+    @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
+    def test_the_relabelings_passed_choose_the_tree(self, laws):
+        # none walk the labelled tree and all n! - 1 the class tree, whatever
+        # up_to_isomorphism says
+        for iso in (False, True):
+            spec = EnumerationSpec(4, laws, up_to_isomorphism=iso)
+            for relabelings, want in (([], SEARCH_TREES[laws]),
+                                      (_relabelings(4), ISO_SEARCH_TREES[laws])):
+                result = EnumerationResult([], 0, 0.0, 0, 0)
+                tables = list(_search_tables(spec, result, relabelings))
+                assert (len(tables), result.nodes, result.forced) == want, iso
 
 
 class TestCountTreePins:
