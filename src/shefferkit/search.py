@@ -361,18 +361,18 @@ def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Op
     return kept
 
 
-def _models(spec: EnumerationSpec,
-            tables: Iterable[tuple[bytes, list]]) -> Iterator[tuple[bytes, list]]:
-    """The tables on which no forbidden law holds, with their
-    automorphisms, one at a time; each groupoid is built once, and only to
-    check the forbidden laws."""
-    build = _builder(spec.size)
+def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
+            build: Callable[[bytes], Groupoid]) -> Iterator[tuple[bytes, list, Optional[Groupoid]]]:
+    """The tables on which no forbidden law holds, with their automorphisms
+    and their groupoid, one at a time.  A groupoid is built only to check
+    the forbidden laws; with none to check, it is None."""
     for flat, automorphisms in tables:
+        g = None
         if spec.forbid:
             g = build(flat)
             if any(check_law(g, law).holds for law in spec.forbid):
                 continue
-        yield flat, automorphisms
+        yield flat, automorphisms, g
 
 
 def _builder(n: int) -> Callable[[bytes], Groupoid]:
@@ -447,10 +447,13 @@ def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Group
     ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
     relabelings = _relabelings(spec.size)
-    listed = (flat for flat, _ in _models(spec, _search_tables(spec, result, relabelings)))
-    if not spec.up_to_isomorphism:
-        listed = _orbits(spec, relabelings, listed)
-    for g in itertools.islice(map(_builder(spec.size), listed), spec.limit):
+    build = _builder(spec.size)
+    models = _models(spec, _search_tables(spec, result, relabelings), build)
+    if spec.up_to_isomorphism:
+        listed = (g or build(flat) for flat, _, g in models)
+    else:
+        listed = map(build, _orbits(spec, relabelings, (flat for flat, _, _ in models)))
+    for g in itertools.islice(listed, spec.limit):
         result.count += 1
         yield g
     result.seconds = time.perf_counter() - start
@@ -473,7 +476,7 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     group_order = math.factorial(spec.size)
     tables = _search_tables(spec, result, _relabelings(spec.size))
     weights = (1 if spec.up_to_isomorphism else group_order // (1 + len(automorphisms))
-               for _, automorphisms in _models(spec, tables))
+               for _, automorphisms, _ in _models(spec, tables, _builder(spec.size)))
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:

@@ -32,8 +32,7 @@ class Groupoid:
     top: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # rows are tuples, so equal tables compare and hash equal and the
-        # law checker can compare its vectors with rows
+        # rows are tuples, so equal tables compare and hash equal
         object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         n = self.carrier.size
         if len(self.table) != n:

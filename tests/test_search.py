@@ -177,6 +177,17 @@ class TestStreaming:
         assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
         assert len(built) == 11
 
+    def test_iso_listing_builds_each_checked_class_once(self, monkeypatch):
+        # the listing built each kept representative a second time after
+        # the forbidden law was checked on it: 534 groupoids
+        built = []
+        unchecked = Groupoid._unchecked
+        monkeypatch.setattr(search.Groupoid, "_unchecked",
+                            lambda *args: built.append(args) or unchecked(*args))
+        spec = EnumerationSpec(4, ("AX1", "AX2"), forbid=(get_law("COMM"),), up_to_isomorphism=True)
+        assert len(run_enumeration(spec).groupoids) == 264
+        assert len(built) == 270
+
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):

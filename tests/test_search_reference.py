@@ -208,7 +208,7 @@ def ref_models(spec, result=None):
     result = result or EnumerationResult([], 0, 0.0, 0, 0)
     relabelings = _relabelings(spec.size) if spec.up_to_isomorphism else []
     build = _builder(spec.size)
-    return [build(flat) for flat, _ in _models(spec, _search_tables(spec, result, relabelings))]
+    return [build(flat) for flat, _, _ in _models(spec, _search_tables(spec, result, relabelings), build)]
 
 
 def ref_count_models(spec):

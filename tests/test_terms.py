@@ -297,6 +297,26 @@ class TestCheckLaw:
         again = pickle.loads(pickle.dumps(law))
         assert again == law and check_law(nand, again) == verdict
 
+    def test_checked_law_pickles_with_both_loops(self, nand):
+        law = parse_law("x|y = y|x")
+        verdict = check_law(nand, law)
+        assert law._wide_kernel(nand) == verdict
+        again = pickle.loads(pickle.dumps(law))
+        assert "_wide_kernel" not in again.__dict__ and check_law(nand, again) == verdict
+
+    def test_laws_of_one_shape_share_one_compiled_loop(self, nand):
+        # the loop text names slots only, so equal text compiles once
+        law, renamed = parse_law("(x|y)|x' = x"), parse_law("(a|b)|a' = a")
+        assert law._kernel is not renamed._kernel
+        assert law._kernel.__code__ is renamed._kernel.__code__
+        assert law._wide_kernel.__code__ is law._kernel.__code__
+        assert law._kernel.__code__ is not parse_law("(x|y)|y' = y")._kernel.__code__
+        # each law names its own variables
+        failing, renamed = parse_law("x|y = x"), parse_law("a|b = a")
+        assert failing._kernel.__code__ is renamed._kernel.__code__
+        assert check_law(nand, failing).counterexample == {"x": 0, "y": 0}
+        assert check_law(nand, renamed).counterexample == {"a": 0, "b": 0}
+
     def test_law_object_construction(self):
         law = Law((), (Variable("x"), Variable("x")))
         assert law.kind == "identity"
