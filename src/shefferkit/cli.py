@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bridge import (
     ChoicePolicy,
@@ -162,12 +162,11 @@ def parse_system_file(text: str) -> RelationalSystem:
                             found.get("involution"), *found.get("bounds", (None, None)))
 
 
-def _bounds_lines(model) -> list[str]:
+def _bounds_lines(names: Sequence[str], bottom: Optional[int], top: Optional[int]) -> list[str]:
     """The ``bounds`` line of a system or groupoid, if it has bounds."""
-    if (model.bottom is None) != (model.top is None):
+    if (bottom is None) != (top is None):
         raise ValueError("a file holds both bounds or neither; got only one")
-    names = model.carrier.names
-    return [] if model.top is None else [f"bounds {names[model.bottom]} {names[model.top]}"]
+    return [] if top is None else [f"bounds {names[bottom]} {names[top]}"]
 
 
 def format_system_file(sys: RelationalSystem) -> str:
@@ -177,7 +176,7 @@ def format_system_file(sys: RelationalSystem) -> str:
     lines.extend(" ".join(format(row, digits)[::-1]) for row in sys.relation.rows)
     if sys.involution is not None:
         lines.append("involution " + " ".join(names[v] for v in sys.involution.image))
-    lines.extend(_bounds_lines(sys))
+    lines.extend(_bounds_lines(names, sys.bottom, sys.top))
     return "\n".join(lines) + "\n"
 
 
@@ -196,25 +195,27 @@ def parse_groupoid_file(text: str) -> Groupoid:
 
 
 def format_groupoid_file(g: Groupoid) -> str:
-    return _groupoid_formatter(g.carrier)(g)
+    return _groupoid_formatter(g.carrier)(g.table, g.bottom, g.top)
 
 
-def _groupoid_formatter(carrier: Carrier) -> Callable[[Groupoid], str]:
-    """A function from a groupoid on ``carrier`` to its file text, which
-    joins the names of each distinct row once, so a listing of many models
-    re-joins none of the rows they share."""
+def _groupoid_formatter(carrier: Carrier) -> Callable[..., str]:
+    """A function from the rows, bottom and top of a groupoid on ``carrier``
+    to its file text.  The rows may be tuples or byte slices of a table's
+    bytes (both iterate as ints); the text of each distinct row is joined
+    once, so a listing of many models re-joins none of the rows they share."""
     names = carrier.names
     head = f"groupoid\nelements {' '.join(names)}\ntable"
-    rows: dict[tuple[int, ...], str] = {}
+    rows: dict[Sequence[int], str] = {}
 
-    def format_groupoid(g: Groupoid) -> str:
+    def format_groupoid(table: Iterable[Sequence[int]], bottom: Optional[int],
+                        top: Optional[int]) -> str:
         lines = [head]
-        for row in g.table:
+        for row in table:
             text = rows.get(row)
             if text is None:
                 text = rows[row] = " ".join(names[v] for v in row)
             lines.append(text)
-        lines.extend(_bounds_lines(g))
+        lines.extend(_bounds_lines(names, bottom, top))
         return "\n".join(lines) + "\n"
 
     return format_groupoid
@@ -474,12 +475,16 @@ def cmd_enumerate(args) -> int:
     else:
         result = EnumerationResult([], 0, 0.0, 0, 0)
         format_model = _groupoid_formatter(Carrier.of_size(spec.size))
-        # each model is printed as the search yields it, so none is kept
-        for g in _listing(spec, result):
-            if result.count > 1:
-                print()
-            print(f"# model {result.count}")
-            print(format_model(g), end="")
+        write = _sys.stdout.write  # looked up per command: callers redirect it
+        n = spec.size
+        starts = range(0, n * n, n)
+        lead = "# model "
+        # each model is written from its table's bytes: no groupoid is built or kept
+        for flat, _ in _listing(spec, result):
+            bottom, top = flat[n * n:] or (None, None)
+            text = format_model([flat[i:i + n] for i in starts], bottom, top)
+            write(f"{lead}{result.count}\n{text}")
+            lead = "\n# model "
     if args.stats:
         summary = (f"n={spec.size} require={','.join(_split_keys(args.require)) or '-'} "
                    f"forbid={','.join(_split_keys(args.forbid)) or '-'}")

@@ -32,6 +32,8 @@ or the members merged through one heap by ``_orbits``).  The merge needs
 each representative to be the least member of its class in byte order,
 the order ``_narrow`` compares cells in; relabelings listed in the
 search's own cell order would serve a count only.
+A listing yields each model as its table's bytes, with a groupoid only
+where one was built to check a forbidden law; the CLI formats the bytes.
 """
 
 from __future__ import annotations
@@ -378,7 +380,8 @@ def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
 def _builder(n: int) -> Callable[[bytes], Groupoid]:
     """A function from a table's bytes to its unvalidated groupoid (the
     cells lie in the carrier by construction), whose equal rows are one
-    tuple."""
+    tuple.  Only a forbidden law's check and ``run_enumeration`` need one;
+    the CLI formats a listed model from its bytes."""
     carrier = Carrier.of_size(n)
     rows_of: dict[bytes, tuple[int, ...]] = {}
 
@@ -397,9 +400,11 @@ def _builder(n: int) -> Callable[[bytes], Groupoid]:
 
 
 def _orbits(spec: EnumerationSpec, relabelings: list,
-            representatives: Iterable[bytes]) -> Iterator[bytes]:
+            representatives: Iterable[tuple]) -> Iterator[tuple[bytes, Optional[Groupoid]]]:
     """Every member of the orbits of the class representatives under the
-    identity and ``relabelings``, the other n! - 1, in byte order.
+    identity and ``relabelings``, the other n! - 1, in byte order, each
+    with a groupoid or None: a representative carries the one it came with
+    (built to check a forbidden law, or None), any other member None.
 
     The representatives must come in ascending byte order, each the least
     member of its class, as the search narrowed by ``relabelings`` yields
@@ -416,10 +421,10 @@ def _orbits(spec: EnumerationSpec, relabelings: list,
                 for sources, perm in relabelings]
     heap: list[tuple[bytes, int, bytes, bytes]] = []
     end = b"\xff"  # above every table, so it flushes the heap
-    for flat in itertools.chain(representatives, [end]):
+    for flat, g in itertools.chain(representatives, [(end, None)]):
         while heap and heap[0][0] < flat:
             member, k, rep, order = heap[0]
-            yield member
+            yield member, None
             k += 1
             if k < len(order):
                 cells, values = prepared[order[k]]
@@ -428,7 +433,7 @@ def _orbits(spec: EnumerationSpec, relabelings: list,
                 heapq.heappop(heap)
         if flat is end:
             return
-        yield flat
+        yield flat, g
         members = {bytes(cells(flat)).translate(values): i
                    for i, (cells, values) in enumerate(prepared)}
         members.pop(flat, None)
@@ -437,8 +442,11 @@ def _orbits(spec: EnumerationSpec, relabelings: list,
             heapq.heappush(heap, (ranked[0], 0, flat, bytes(members[m] for m in ranked)))
 
 
-def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Groupoid]:
-    """The first ``spec.limit`` models of the listing, one at a time.
+def _listing(spec: EnumerationSpec,
+             result: EnumerationResult) -> Iterator[tuple[bytes, Optional[Groupoid]]]:
+    """The first ``spec.limit`` models of the listing, one at a time, each
+    as its table's bytes (the bottom and top bytes last, with bounds) and
+    the groupoid built to check a forbidden law on it, or None.
 
     Either listing walks the class tree, as a count does, and checks the
     forbidden laws once per class representative; a plain listing expands
@@ -447,15 +455,13 @@ def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[Group
     ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
     relabelings = _relabelings(spec.size)
-    build = _builder(spec.size)
-    models = _models(spec, _search_tables(spec, result, relabelings), build)
-    if spec.up_to_isomorphism:
-        listed = (g or build(flat) for flat, _, g in models)
-    else:
-        listed = map(build, _orbits(spec, relabelings, (flat for flat, _, _ in models)))
-    for g in itertools.islice(listed, spec.limit):
+    models = _models(spec, _search_tables(spec, result, relabelings), _builder(spec.size))
+    listed = ((flat, g) for flat, _, g in models)
+    if not spec.up_to_isomorphism:
+        listed = _orbits(spec, relabelings, listed)
+    for model in itertools.islice(listed, spec.limit):
         result.count += 1
-        yield g
+        yield model
     result.seconds = time.perf_counter() - start
 
 
@@ -489,7 +495,8 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     """The models of the spec in lexicographic order, at most ``spec.limit``."""
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    result.groupoids = list(_listing(spec, result))
+    build = _builder(spec.size)
+    result.groupoids = [g or build(flat) for flat, g in _listing(spec, result)]
     return result
 
 

@@ -1,6 +1,7 @@
 """Model enumeration with pruning, checked against naive full scans."""
 
 import contextlib
+import hashlib
 import itertools
 import os
 import random
@@ -188,6 +189,33 @@ class TestStreaming:
         assert len(run_enumeration(spec).groupoids) == 264
         assert len(built) == 270
 
+    def test_listing_builds_each_model_once(self, monkeypatch):
+        # each member of an orbit was built after its representative had been
+        # built to check the forbidden law: 5624 groupoids; now the 5354
+        # models once each, and the 6 representatives that COMM rejects
+        built = []
+        unchecked = Groupoid._unchecked
+        monkeypatch.setattr(search.Groupoid, "_unchecked",
+                            lambda *args: built.append(args) or unchecked(*args))
+        assert len(run_enumeration(spec_sheffer(4, forbid=("COMM",))).groupoids) == 5354
+        assert len(built) == 5360
+
+    @pytest.mark.parametrize("argv, builds", [
+        # 5450, 270 and 468 when the listing printed a groupoid per model
+        (["-n", "4", "--require", "AX1,AX2"], 0),
+        (["-n", "4", "--require", "AX1,AX2", "--iso"], 0),
+        (["-n", "3", "--require", "AX1,AX2", "--with-bounds"], 0),
+        # one per checked class representative (5624 before)
+        (["-n", "4", "--require", "AX1,AX2", "--forbid", "COMM"], 270),
+    ], ids=["plain", "iso", "bounds", "forbid"])
+    def test_cli_listing_builds_no_groupoid(self, monkeypatch, argv, builds):
+        built = []
+        unchecked = Groupoid._unchecked
+        monkeypatch.setattr(search.Groupoid, "_unchecked",
+                            lambda *args: built.append(args) or unchecked(*args))
+        assert run_cli(["enumerate", *argv])[0] == 0
+        assert len(built) == builds
+
     def test_cli_listing_keeps_no_models(self):
         # printing after run_enumeration had returned peaked at 1049 KiB
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
@@ -271,6 +299,47 @@ class TestAgainstBruteForce:
         law = parse_law("x" + "'" * 60 + " = x")
         got = [g.table for g in run_enumeration(EnumerationSpec(2, require=(law,))).groupoids]
         assert got == [g.table for g in groupoids_naive(2, lambda g: check_law(g, law).holds)]
+
+
+class TestListingText:
+    """The CLI writes each model from its table's bytes; the text must be
+    that of the groupoids ``run_enumeration`` builds."""
+
+    @staticmethod
+    def expected(spec):
+        return "\n".join(f"# model {k}\n" + cli.format_groupoid_file(g)
+                         for k, g in enumerate(run_enumeration(spec).groupoids, start=1))
+
+    @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
+    def test_universe_up_to_size_3(self, laws):
+        banned = "SYM7" if "SYM7" not in laws else "COMM"
+        for n, commutative, bounds, iso, forbid, limit in itertools.product(
+                (1, 2, 3), (False, True), (False, True), (False, True), ((), (banned,)),
+                (0, 1, 7, None)):
+            argv = ["enumerate", "-n", str(n), "--require", ",".join(laws)]
+            argv += ["--commutative"] * commutative + ["--with-bounds"] * bounds
+            argv += ["--iso"] * iso + ["--forbid", banned] * bool(forbid)
+            argv += [] if limit is None else ["--limit", str(limit)]
+            spec = EnumerationSpec(n, laws + ("COMM",) * commutative, forbid, bounds, iso, limit)
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, "")
+            assert out == self.expected(spec), argv
+
+    @pytest.mark.parametrize("args, digest", [
+        ("-n 4 --require AX1,AX2",
+         "4efbcbc3f4b82be209765f3879a23f3192bf7b8d2939d759283a2f167242241c"),
+        ("-n 4 --require AX1,AX2 --forbid COMM",
+         "8fd395a00985c551d378a6a5788a1cb652215beab94feb5f30f084ecb2e026f9"),
+        ("-n 3 --require AX1,AX2 --with-bounds",
+         "e6c27959527e1de07e936cba461752652a8c35ff9de8e3995e83e5db0230452c"),
+        ("-n 4 --require AX1,AX2 --iso",
+         "6abea7ae42d942444136a3ceca7dd25ecda17d0b0e07c494ac6e2a2ed9612839"),
+    ])
+    def test_listing_digests(self, args, digest):
+        # the digests of the listings printed from built groupoids
+        code, out, _ = run_cli(["enumerate", *args.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCommutativityLaw:
