@@ -20,18 +20,24 @@ the runs are merged into one sorted stream, which ``_models`` filters one
 table at a time.
 The search narrows by the relabelings its caller passes and keeps only the
 least member of each class (orderly generation: Read 1978, McKay 1998).
-Each relabeling (``_relabelings``) is a list of source cells and an element
-map, and at every node it is read against the known cells of the partial
-table up to the first difference: a smaller relabeled table cuts the
-subtree, a larger one drops the relabeling below the node.  Those left at
-a complete table are its automorphisms that fix the bounds.
+Each relabeling (``_relabelings``) is a triple of cells, in the order they
+are compared, the source cell of each and an element map, and at every
+node it is read against the known cells of the partial table up to the
+first difference: a smaller relabeled table cuts the subtree, a larger one
+drops the relabeling below the node.  Those left at a complete table are
+its automorphisms that fix the bounds.
 A listing and a count both pass the n! - 1 relabelings, so a forbidden law
 is checked once per class; ``up_to_isomorphism`` only chooses whether a
 representative stands for itself or for its orbit (the weight n!/|Stab|,
 or the members merged through one heap by ``_orbits``).  The merge needs
-each representative to be the least member of its class in byte order,
-the order ``_narrow`` compares cells in; relabelings listed in the
-search's own cell order would serve a count only.
+each representative to be the least member of its class in byte order, so
+a listing compares cells row-major.  A count shows no representative, so
+it compares them in the search's own cell order (``_cell_order``), where
+a relabeling that differs is settled as soon as the cells it differs on
+are known; it walks a smaller class tree than a listing, with the same
+classes and orbit sums.
+Laws are ground once per law and size (``_ground_law``) and relabelings
+once per size and cell order; both are cached and never changed.
 A listing yields each model as its table's bytes, with a groupoid only
 where one was built to check a forbidden law; the CLI formats the bytes.
 """
@@ -44,6 +50,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -117,7 +124,9 @@ class EnumerationResult:
     the bottom and top too), wall time, cells that propagation set (a
     commutative mirror is not counted again), and the number of models.  A
     listing and a count report the nodes and forced cells of the class
-    tree, which they walk whether or not the spec asks for classes."""
+    tree, which they walk whether or not the spec asks for classes; the
+    count's tree, narrowed in the search's cell order, is the smaller one
+    (at n = 4, AX1,AX2: 1,604 nodes against a listing's 1,804)."""
 
     groupoids: list[Groupoid]
     nodes: int
@@ -135,28 +144,34 @@ class EnumerationResult:
 # that reads the bound cell: (n * n, 0) the bottom, (n * n, 1) the top.
 
 
-def _ground(laws: Sequence[Law], n: int) -> list[tuple]:
+def _ground(laws: Sequence[Law], n: int) -> tuple:
     """Every law at every assignment of its variables, as flat instances."""
+    return tuple(itertools.chain.from_iterable(_ground_law(law, n) for law in laws))
+
+
+@lru_cache(maxsize=256)
+def _ground_law(law: Law, n: int) -> tuple:
+    """``law`` at every assignment of its variables, as flat instances, made
+    once per law and size: the search reads instances and never changes them."""
+    # each side compiles on its own, so its instructions keep the side's
+    # own post-order, which decides the cell an instance watches first
+    sides = []
+    for t in law.sides:
+        prog = _compile([t])
+        reads = tuple((n * n, ("bottom", "top").index(which)) for which in prog.consts)
+        sides.append(([law.variables.index(name) for name in prog.names], reads, prog.apps,
+                      prog.roots[0], [~i for i in range(len(reads) + len(prog.apps))]))
     out = []
-    for law in laws:
-        # each side compiles on its own, so its instructions keep the side's
-        # own post-order, which decides the cell an instance watches first
-        sides = []
-        for t in law.sides:
-            prog = _compile([t])
-            reads = tuple((n * n, ("bottom", "top").index(which)) for which in prog.consts)
-            sides.append(([law.variables.index(name) for name in prog.names], reads, prog.apps,
-                          prog.roots[0], [~i for i in range(len(reads) + len(prog.apps))]))
-        for combo in itertools.product(range(n), repeat=len(law.variables)):
-            ground = []
-            for pos, reads, apps, root, results in sides:
-                rights = [combo[p] for p in pos] + results
-                lefts = [combo[p] * n for p in pos] + results
-                ground.append(rights[root] if root < len(pos) else
-                              reads + tuple((lefts[a], rights[b]) for a, b in apps))
-            eqs = list(zip(ground[0::2], ground[1::2]))
-            out.append((tuple(eqs[:-1]), eqs[-1]))
-    return out
+    for combo in itertools.product(range(n), repeat=len(law.variables)):
+        ground = []
+        for pos, reads, apps, root, results in sides:
+            rights = [combo[p] for p in pos] + results
+            lefts = [combo[p] * n for p in pos] + results
+            ground.append(rights[root] if root < len(pos) else
+                          reads + tuple((lefts[a], rights[b]) for a, b in apps))
+        eqs = list(zip(ground[0::2], ground[1::2]))
+        out.append((tuple(eqs[:-1]), eqs[-1]))
+    return tuple(out)
 
 
 def _is_commutativity(law: Law) -> bool:
@@ -165,14 +180,15 @@ def _is_commutativity(law: Law) -> bool:
         sorted(law._program.apps) == [(0, 1), (1, 0)]
 
 
-def _cell_order(n: int) -> list[tuple[int, int]]:
-    cells = [(i, i) for i in range(n)]
-    cells.extend((i, j) for i in range(n) for j in range(n) if i != j)
-    return cells
+def _cell_order(n: int, size: int) -> tuple[int, ...]:
+    """The cells of a table of ``size`` cells in the order the search fixes
+    them: the diagonal, the other cells row-major, then the bottom and top."""
+    return (tuple(range(0, n * n, n + 1)) + tuple(c for c in range(n * n) if c % (n + 1))
+            + tuple(range(n * n, size)))
 
 
 def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
-                   relabelings: list) -> Iterator[tuple[bytes, list]]:
+                   relabelings: Sequence[tuple]) -> Iterator[tuple[bytes, list]]:
     """Yield in lexicographic order each complete table satisfying the
     required laws that no relabeling makes smaller, with the relabelings
     that fix it, adding branching nodes and forced cells to ``result``.
@@ -192,14 +208,15 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
     sorted tables; the runs are merged.
 
     Every node narrows the live relabelings (``_narrow``), starting from
-    ``relabelings``: given ``_relabelings(n)`` the search yields the least
-    member of each class with its automorphisms that fix the bounds, given
-    none every table with an empty list.
+    ``relabelings``: given all n! - 1 of them, over the table's cells in
+    some order, the search yields the member of each class that is least
+    in that order with its automorphisms that fix the bounds, given none
+    every table with an empty list.
     """
     n = spec.size
     size = n * n + 2 if spec.with_bounds else n * n
     bounds = list(range(n * n, size))
-    order = [i * n + j for i, j in _cell_order(n)] + bounds
+    order = _cell_order(n, size)
     # a required commutativity law is kept by mirroring each assigned cell,
     # so it is not ground
     commutative = any(_is_commutativity(law) for law in spec.require)
@@ -320,37 +337,40 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
     yield from heapq.merge(*runs)
 
 
-def _relabelings(n: int) -> list[tuple[list[int], list[int]]]:
+@lru_cache(maxsize=32)
+def _relabelings(n: int, order: tuple[int, ...]) -> tuple[tuple[tuple, tuple, tuple], ...]:
     """Each relabeling of range(n) but the identity, in the order of the
-    inverse permutations: the source cell of each relabeled cell in
-    row-major order, then the bottom and top cells, each its own source
-    (``_narrow`` reads them only on a table that has them), and the element
-    map."""
+    inverse permutations, as ``(cells, sources, perm)``: the cells of
+    ``order`` (a table's cells, with the bottom and top as cells ``n * n``
+    and ``n * n + 1``), the source cell of each relabeled cell (the bottom
+    and top are each their own), and the element map.  Made once per size
+    and order; ``_narrow`` and ``_orbits`` only read them."""
     out = []
     for inv in itertools.islice(itertools.permutations(range(n)), 1, None):
         perm = [0] * n
         for a, i in enumerate(inv):
             perm[i] = a
-        out.append(([i * n + j for i in inv for j in inv] + [n * n, n * n + 1], perm))
-    return out
+        sources = [inv[c // n] * n + inv[c % n] if c < n * n else c for c in order]
+        out.append((order, tuple(sources), tuple(perm)))
+    return tuple(out)
 
 
-def _narrow(table: Sequence[int], live: list[tuple[list[int], list[int]]]) -> Optional[list]:
+def _narrow(table: Sequence[int], live: Sequence[tuple]) -> Optional[list]:
     """The relabelings of ``live`` that still tie with the partial table
     (-1 where unknown), or None when one comes first.
 
-    Each relabeled cell is read in row-major order, then the bottom and
-    the top, while it and its source cell are known.  A first difference
-    that is smaller means every completion has a smaller relabeling; a
-    larger one drops the relabeling; a tie up to an unknown cell keeps it.
-    On a complete table the kept relabelings are the automorphisms of its
-    cells that fix its bounds."""
+    Each cell's value ``table[cell]`` is read against its relabeled value
+    ``perm[table[source]]``, in the relabeling's cell order, while both are
+    known; the table has every cell the relabelings name.  A first
+    difference that is smaller means every completion has a smaller
+    relabeling; a larger one drops the relabeling; a tie up to an unknown
+    cell keeps it.  On a complete table the kept relabelings are the
+    automorphisms of its cells that fix its bounds."""
     kept = []
     for relabeling in live:
-        sources, perm = relabeling
-        for source, own in zip(sources, table):
-            v = table[source]
-            if v < 0 or own < 0:
+        cells, sources, perm = relabeling
+        for cell, source in zip(cells, sources):
+            if (v := table[source]) < 0 or (own := table[cell]) < 0:
                 kept.append(relabeling)
                 break
             v = perm[v]
@@ -399,7 +419,7 @@ def _builder(n: int) -> Callable[[bytes], Groupoid]:
     return build
 
 
-def _orbits(spec: EnumerationSpec, relabelings: list,
+def _orbits(spec: EnumerationSpec, relabelings: Sequence[tuple],
             representatives: Iterable[tuple]) -> Iterator[tuple[bytes, Optional[Groupoid]]]:
     """Every member of the orbits of the class representatives under the
     identity and ``relabelings``, the other n! - 1, in byte order, each
@@ -407,18 +427,17 @@ def _orbits(spec: EnumerationSpec, relabelings: list,
     (built to check a forbidden law, or None), any other member None.
 
     The representatives must come in ascending byte order, each the least
-    member of its class, as the search narrowed by ``relabelings`` yields
-    them (relabelings listed in another cell order would keep other
-    representatives).  When a representative arrives, every member of its
-    class and of each later class comes after it, so the heap of unprinted
-    members yields each entry below it, and then the representative.  An
-    orbit waits in the heap as its representative and a ``bytes`` of the
-    relabelings that give its other members, sorted by member; its entry
-    holds only the next member."""
+    member of its class, as the search narrowed by ``relabelings`` over the
+    table's cells row-major yields them (relabelings over another cell
+    order would keep other representatives).  When a representative
+    arrives, every member of its class and of each later class comes after
+    it, so the heap of unprinted members yields each entry below it, and
+    then the representative.  An orbit waits in the heap as its
+    representative and a ``bytes`` of the relabelings that give its other
+    members, sorted by member; its entry holds only the next member."""
     n = spec.size
-    size = n * n + 2 if spec.with_bounds else n * n
-    prepared = [(itemgetter(*sources[:size]), bytes(perm) + bytes(range(n, 256)))
-                for sources, perm in relabelings]
+    prepared = [(itemgetter(*sources), bytes(perm) + bytes(range(n, 256)))
+                for _, sources, perm in relabelings]
     heap: list[tuple[bytes, int, bytes, bytes]] = []
     end = b"\xff"  # above every table, so it flushes the heap
     for flat, g in itertools.chain(representatives, [(end, None)]):
@@ -454,7 +473,8 @@ def _listing(spec: EnumerationSpec,
     branching nodes and forced cells to ``result``, each model adds one to
     ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
-    relabelings = _relabelings(spec.size)
+    n = spec.size
+    relabelings = _relabelings(n, tuple(range(n * n + 2 if spec.with_bounds else n * n)))
     models = _models(spec, _search_tables(spec, result, relabelings), _builder(spec.size))
     listed = ((flat, g) for flat, _, g in models)
     if not spec.up_to_isomorphism:
@@ -467,7 +487,10 @@ def _listing(spec: EnumerationSpec,
 
 def _count(spec: EnumerationSpec) -> EnumerationResult:
     """The number of models of the spec, at most ``spec.limit``, summed over
-    the class tree, with no groupoid kept.
+    the class tree, with no groupoid kept.  The relabelings compare cells
+    in the search's own order (``_cell_order``), so the tree is smaller
+    than a listing's, whose representatives must be least row-major; the
+    classes and their orbits are the same.
 
     Each class representative that ``_models`` keeps there weighs 1 under
     ``up_to_isomorphism``.  Otherwise it weighs the size of its orbit under
@@ -479,10 +502,12 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     limit."""
     start = time.perf_counter()
     result = EnumerationResult([], 0, 0.0, 0, 0)
-    group_order = math.factorial(spec.size)
-    tables = _search_tables(spec, result, _relabelings(spec.size))
+    n = spec.size
+    group_order = math.factorial(n)
+    order = _cell_order(n, n * n + 2 if spec.with_bounds else n * n)
+    tables = _search_tables(spec, result, _relabelings(n, order))
     weights = (1 if spec.up_to_isomorphism else group_order // (1 + len(automorphisms))
-               for _, automorphisms, _ in _models(spec, tables, _builder(spec.size)))
+               for _, automorphisms, _ in _models(spec, tables, _builder(n)))
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:

@@ -19,13 +19,15 @@ each table of the constant-free search with every bottom and top, kept
 the pairs that passed the automorphism tie-break ``ref_kept_pairs`` and
 filtered them through ``check_law`` on the required laws with constants
 and on the forbidden laws; ``ref_orbit_weight`` is the earlier
-bound-fixing stabilizer weight of a count.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism``, the node check
-``_narrow`` on a table and its bound cells, the listing by orbits, the
-bounded listing, the orbit sums of ``count_models``, ``enumerate_drsi``
-and ``_involutions`` must agree with exactly: the same
-isomorphism partition, the same representatives, the same verdicts, the
-same counts, and the same systems and maps in the same order.
+bound-fixing stabilizer weight of a count.  ``ref_ground`` is the earlier
+grounding, which built every law's instances afresh on each call.  They
+stay here as the reference that ``canonical_form``, ``up_to_isomorphism``,
+the node check ``_narrow`` on a table and its bound cells, the listing by
+orbits, the bounded listing, the orbit sums of ``count_models``, the
+cached ``_ground``, ``enumerate_drsi`` and ``_involutions`` must agree
+with exactly: the same isomorphism partition, the same representatives,
+the same verdicts, the same counts, the same instances, and the same
+systems and maps in the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the labelled table search as measured before its propagation step was
@@ -41,6 +43,7 @@ from dataclasses import replace
 import pytest
 
 from shefferkit import (
+    CATALOG,
     BinaryRelation,
     Carrier,
     ElementMap,
@@ -53,11 +56,14 @@ from shefferkit import (
     check_law,
     count_models,
     enumerate_drsi,
+    get_law,
     is_directed,
+    parse_law,
     run_enumeration,
 )
-from shefferkit.search import (_builder, _count, _involutions, _models, _narrow, _relabelings,
-                               _search_tables)
+from shefferkit.search import (_builder, _cell_order, _count, _ground, _ground_law, _involutions,
+                               _models, _narrow, _relabelings, _search_tables)
+from shefferkit.terms import _compile
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +184,27 @@ def ref_least_member(g, inverses):
     return not any(ref_relabeled(parts, inv, own) is not None for inv in inverses)
 
 
+def ref_ground(laws, n):
+    out = []
+    for law in laws:
+        sides = []
+        for t in law.sides:
+            prog = _compile([t])
+            reads = tuple((n * n, ("bottom", "top").index(which)) for which in prog.consts)
+            sides.append(([law.variables.index(name) for name in prog.names], reads, prog.apps,
+                          prog.roots[0], [~i for i in range(len(reads) + len(prog.apps))]))
+        for combo in itertools.product(range(n), repeat=len(law.variables)):
+            ground = []
+            for pos, reads, apps, root, results in sides:
+                rights = [combo[p] for p in pos] + results
+                lefts = [combo[p] * n for p in pos] + results
+                ground.append(rights[root] if root < len(pos) else
+                              reads + tuple((lefts[a], rights[b]) for a, b in apps))
+            eqs = list(zip(ground[0::2], ground[1::2]))
+            out.append((tuple(eqs[:-1]), eqs[-1]))
+    return out
+
+
 def ref_involutions(n):
     image = [None] * n
 
@@ -200,13 +227,19 @@ def ref_involutions(n):
     yield from rec(0)
 
 
+def row_major(n, with_bounds=False):
+    """The n! - 1 relabelings over a table's cells row-major, then the
+    bottom and top cells ``with_bounds``, as a listing narrows by."""
+    return _relabelings(n, tuple(range(n * n + 2 if with_bounds else n * n)))
+
+
 def ref_models(spec, result=None):
     """The models of the spec in the order of its search tree, the limit
     ignored: every labelled model, or under ``up_to_isomorphism`` the least
-    of each class.  The search adds its nodes and forced cells to
-    ``result``."""
+    of each class in row-major order.  The search adds its nodes and forced
+    cells to ``result``."""
     result = result or EnumerationResult([], 0, 0.0, 0, 0)
-    relabelings = _relabelings(spec.size) if spec.up_to_isomorphism else []
+    relabelings = row_major(spec.size, spec.with_bounds) if spec.up_to_isomorphism else []
     build = _builder(spec.size)
     return [build(flat) for flat, _, _ in _models(spec, _search_tables(spec, result, relabelings), build)]
 
@@ -219,7 +252,7 @@ def ref_kept_pairs(n, automorphisms):
     """The (bottom, top) pairs that no automorphism of the table maps to a
     smaller pair, so that each class keeps its least member."""
     return [(bottom, top) for bottom, top in itertools.product(range(n), repeat=2)
-            if all((perm[bottom], perm[top]) >= (bottom, top) for _, perm in automorphisms)]
+            if all((perm[bottom], perm[top]) >= (bottom, top) for _, _, perm in automorphisms)]
 
 
 def ref_bounded_models(spec):
@@ -232,7 +265,7 @@ def ref_bounded_models(spec):
     const_require = [law for law in spec.require if law.constants]
     free = replace(spec, require=tuple(law for law in spec.require if not law.constants),
                    forbid=(), with_bounds=False)
-    relabelings = _relabelings(n) if free.up_to_isomorphism else []
+    relabelings = row_major(n) if free.up_to_isomorphism else []
     for flat, automorphisms in _search_tables(free, EnumerationResult([], 0, 0.0, 0, 0), relabelings):
         table = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
         for bottom, top in ref_kept_pairs(n, automorphisms):
@@ -247,7 +280,7 @@ def ref_orbit_weight(g, automorphisms):
     """n!/|Stab|, Stab being the identity and the automorphisms of the
     table that fix the bottom and top."""
     return math.factorial(g.size) // (1 + sum((perm[g.bottom], perm[g.top]) == (g.bottom, g.top)
-                                              for _, perm in automorphisms))
+                                              for _, _, perm in automorphisms))
 
 
 def ref_bounded_count(spec):
@@ -354,6 +387,8 @@ class TestIsomorphismClassesReference:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_equal_the_plain_walk(self, n):
+        # the count (``_count``) narrows in the search's own cell order, the
+        # reference row-major: other representatives, the same classes
         for kw in iso_specs(n):
             for iso, limit in itertools.product((False, True), (0, 1, 7, None)):
                 spec = EnumerationSpec(**kw, up_to_isomorphism=iso, limit=limit)
@@ -421,13 +456,29 @@ def assert_orbit_sums(n):
         assert orbits == ref_count_models(EnumerationSpec(**kw)), kw
 
 
-def kept_bounds(flat, n, relabelings):
+def kept_bounds(flat, n, plain, bounded):
     """The bounds under which ``_narrow`` keeps the complete table as the
-    least of its class: (None, None) for the table alone, and each (bottom,
-    top) pair for the table followed by its two bound cells."""
-    kept = set() if _narrow(flat, relabelings) is None else {(None, None)}
+    least of its class: (None, None) for the table alone, narrowed by the
+    relabelings ``plain``, and each (bottom, top) pair for the table
+    followed by its two bound cells, narrowed by ``bounded``."""
+    kept = set() if _narrow(flat, plain) is None else {(None, None)}
     return kept | {pair for pair in itertools.product(range(n), repeat=2)
-                   if _narrow([*flat, *pair], relabelings) is not None}
+                   if _narrow([*flat, *pair], bounded) is not None}
+
+
+def ref_least_in_order(flat, n, order):
+    """Whether no relabeling of the table (and its bounds, after its
+    cells) is smaller when both are read in the cell ``order``, computed
+    from the relabeled tables."""
+    own = [flat[c] for c in order]
+    for perm in itertools.permutations(range(n)):
+        moved = [0] * len(flat)
+        for i, j in itertools.product(range(n), repeat=2):
+            moved[perm[i] * n + perm[j]] = perm[flat[i * n + j]]
+        moved[n * n:] = [perm[b] for b in flat[n * n:]]
+        if [moved[c] for c in order] < own:
+            return False
+    return True
 
 
 def universe(n):
@@ -441,12 +492,12 @@ class TestLeastMemberReference:
         verdicts = set()
         for n, models in sheffer_by_size.items():
             inverses = list(itertools.permutations(range(n)))[1:]
-            relabelings = _relabelings(n)
-            assert len(relabelings) == len(inverses)
+            plain, bounded = row_major(n), row_major(n, True)
+            assert len(plain) == len(bounded) == len(inverses)
             for g in models:
                 flat = [v for row in g.table for v in row]
-                for inv, one in zip(inverses, relabelings):
-                    kept = kept_bounds(flat, n, [one])
+                for inv, one, one_bounded in zip(inverses, plain, bounded):
+                    kept = kept_bounds(flat, n, [one], [one_bounded])
                     for bottom, top in [(None, None), *itertools.product(range(n), repeat=2)]:
                         got = (bottom, top) in kept
                         assert got == ref_least_member(Groupoid(g.carrier, g.table, bottom, top),
@@ -458,10 +509,10 @@ class TestLeastMemberReference:
     def test_every_table_with_and_without_bounds(self, n):
         carrier = Carrier.of_size(n)
         inverses = list(itertools.permutations(range(n)))[1:]
-        relabelings = _relabelings(n)
+        plain, bounded = row_major(n), row_major(n, True)
         for flat in universe(n):
             table = tuple(flat[i:i + n] for i in range(0, n * n, n))
-            kept = kept_bounds(flat, n, relabelings)
+            kept = kept_bounds(flat, n, plain, bounded)
             least = ref_least_member(Groupoid._unchecked(carrier, table, None, None), inverses)
             assert ((None, None) in kept) == least, table
             # the reference compares cells before bounds, so a table whose
@@ -478,7 +529,7 @@ class TestLeastMemberReference:
         n = 3
         carrier = Carrier.of_size(n)
         inverses = list(itertools.permutations(range(n)))[1:]
-        relabelings = _relabelings(n)
+        relabelings = row_major(n)
         rest = [i * n + j for i in range(n) for j in range(n) if i != j]
         cuts = 0
         for flat in universe(n):
@@ -496,6 +547,33 @@ class TestLeastMemberReference:
                     break
                 assert automorphisms is None or set(map(id, automorphisms)) <= set(map(id, live))
         assert cuts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_search_order_keeps_the_least_in_that_order(self, n):
+        # the relabelings a count narrows by, over the diagonal, the other
+        # cells row-major and the bounds, on every table, with bounds below
+        # size three; a cut on a prefix of that order, as the search fixes
+        # it, rejects every completion
+        plain = _relabelings(n, _cell_order(n, n * n))
+        bounded = _relabelings(n, _cell_order(n, n * n + 2))
+        choices = [None, *itertools.product(range(n), repeat=2)] if n < 3 else [None]
+        cuts = 0
+        for flat in universe(n):
+            for pair in choices:
+                full, relabelings = (flat, plain) if pair is None else ([*flat, *pair], bounded)
+                order = _cell_order(n, len(full))
+                least = ref_least_in_order(full, n, order)
+                assert (_narrow(full, relabelings) is not None) == least, (full, order)
+                if pair is None:
+                    partial = [-1] * len(full)
+                    for cell in order:
+                        partial[cell] = full[cell]
+                        if _narrow(partial, relabelings) is None:
+                            cuts += 1
+                            assert not least, (full, partial)
+                            break
+        # one element has no other relabeling
+        assert cuts or n == 1
 
 
 # (count, nodes, forced) at n = 4 per required law set
@@ -537,6 +615,27 @@ ISO_SEARCH_TREES = {
 }
 ISO_BOUNDED_SEARCH_TREES = {"BOUND0": (35, 129, 24), "BOUND1": (35, 174, 24), "COMPL": (0, 12, 10)}
 
+# the same classes on the tree a count walks, whose relabelings compare the
+# cells in the order the search fixes them (diagonal first), so a relabeling
+# that differs on the diagonal is settled there
+COUNT_SEARCH_TREES = {
+    ("AX1", "AX2"): (270, 1604, 417),
+    ("AX1", "AX2", "COMM"): (6, 72, 41),
+    ("AX1", "AX2", "COMM", "COMM"): (6, 72, 41),
+    ("AX1", "AX2", "SYM7"): (35, 264, 171),
+    ("AX1", "AX2", "SYM7", "COMM"): (0, 36, 23),
+    ("AX1", "AX2", "TRANS8"): (43, 580, 242),
+    ("AX1", "AX2", "TRANS8", "COMM"): (3, 52, 46),
+    ("AX1", "AX2", "CD3"): (6, 92, 91),
+    ("AX1", "AX2", "CD3", "COMM"): (6, 72, 41),
+    ("AX1", "AX2", "CD9"): (40, 448, 241),
+    ("AX1", "AX2", "CD9", "COMM"): (6, 72, 41),
+    ("AX1", "AX2", "ANTISYM"): (24, 452, 169),
+    ("AX1", "AX2", "ANTISYM", "COMM"): (6, 72, 41),
+}
+# at n = 3 the two orders cut the same subtrees
+COUNT_BOUNDED_SEARCH_TREES = ISO_BOUNDED_SEARCH_TREES
+
 
 def labelled_tree(spec):
     """(models, nodes, forced) of the labelled search for the spec."""
@@ -570,35 +669,94 @@ class TestSearchTreePins:
 
     @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
     def test_the_relabelings_passed_choose_the_tree(self, laws):
-        # none walk the labelled tree and all n! - 1 the class tree, whatever
-        # up_to_isomorphism says
+        # none walk the labelled tree and all n! - 1 a class tree, whatever
+        # up_to_isomorphism says: row-major the listing's, in the search's
+        # own cell order the count's
         for iso in (False, True):
             spec = EnumerationSpec(4, laws, up_to_isomorphism=iso)
             for relabelings, want in (([], SEARCH_TREES[laws]),
-                                      (_relabelings(4), ISO_SEARCH_TREES[laws])):
+                                      (row_major(4), ISO_SEARCH_TREES[laws]),
+                                      (_relabelings(4, _cell_order(4, 16)),
+                                       COUNT_SEARCH_TREES[laws])):
                 result = EnumerationResult([], 0, 0.0, 0, 0)
                 tables = list(_search_tables(spec, result, relabelings))
                 assert (len(tables), result.nodes, result.forced) == want, iso
 
 
 class TestCountTreePins:
-    """A count and a listing walk the tree of the search up to isomorphism,
-    whether or not the spec asks for classes; the count sums the orbits of
-    its models, the listing expands them."""
+    """A count and a listing walk a tree of the search up to isomorphism,
+    whether or not the spec asks for classes: the listing the row-major one
+    of ``ISO_SEARCH_TREES``, whose representatives it expands into their
+    orbits, the count the one narrowed in the search's own cell order,
+    ``COUNT_SEARCH_TREES``, whose orbits it sums."""
 
     @pytest.mark.parametrize("laws", sorted(ISO_SEARCH_TREES), ids=",".join)
     def test_size_four(self, laws):
         spec = EnumerationSpec(4, laws)
-        for result in (_count(spec), run_enumeration(spec)):
+        for result, trees in ((_count(spec), COUNT_SEARCH_TREES),
+                              (run_enumeration(spec), ISO_SEARCH_TREES)):
             assert (result.count, result.nodes, result.forced) == \
-                SEARCH_TREES[laws][:1] + ISO_SEARCH_TREES[laws][1:]
+                SEARCH_TREES[laws][:1] + trees[laws][1:]
 
     @pytest.mark.parametrize("key", sorted(ISO_BOUNDED_SEARCH_TREES))
     def test_size_three_with_bounds(self, key):
         spec = EnumerationSpec(3, ("AX1", "AX2", key), with_bounds=True)
-        for result in (_count(spec), run_enumeration(spec)):
+        for result, trees in ((_count(spec), COUNT_BOUNDED_SEARCH_TREES),
+                              (run_enumeration(spec), ISO_BOUNDED_SEARCH_TREES)):
             assert (result.count, result.nodes, result.forced) == \
-                BOUNDED_SEARCH_TREES[key][:1] + ISO_BOUNDED_SEARCH_TREES[key][1:]
+                BOUNDED_SEARCH_TREES[key][:1] + trees[key][1:]
+
+    def test_size_five(self):
+        # about 0.5 s; the row-major class tree took 149,600 nodes and
+        # 20,091 forced cells for the same 30,755 classes
+        result = _count(EnumerationSpec(5, ("AX1", "AX2")))
+        assert (result.count, result.nodes, result.forced) == (3617108, 134185, 17932)
+
+    def test_repeated_searches_walk_the_same_tree(self):
+        # the ground instances and relabelings come from caches the second
+        # time; nothing a search does may change them
+        for spec in (EnumerationSpec(4, ("AX1", "AX2", "TRANS8")),
+                     EnumerationSpec(4, ("AX1", "AX2"), up_to_isomorphism=True),
+                     EnumerationSpec(3, ("AX1", "AX2", "BOUND1"), with_bounds=True)):
+            for run in (_count, run_enumeration):
+                first, second = run(spec), run(spec)
+                assert (first.count, first.nodes, first.forced) == \
+                    (second.count, second.nodes, second.forced), (spec, run)
+                assert first.groupoids == second.groupoids
+
+
+def frozen(value):
+    """Whether ``value`` is an int or a tuple of such values all the way down."""
+    return isinstance(value, int) or isinstance(value, tuple) and all(map(frozen, value))
+
+
+class TestGroundReference:
+    """Each law is ground once per size; the cached instances equal a fresh
+    grounding and cannot be changed by the searches that share them."""
+
+    LAWS = [get_law(key) for key in CATALOG] + [
+        # premises, both constants, and a side that is a bare variable
+        parse_law("x|0 = y & (y|1)|x = x => (x|y)|0 = 1|(x|x)"),
+        parse_law("x = y => x|1 = y"),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_instances(self, n):
+        for law in self.LAWS:
+            got = _ground((law,), n)
+            assert isinstance(got, tuple) and isinstance(_ground_law(law, n), tuple)
+            assert list(got) == ref_ground([law], n), (law, n)
+            assert frozen(got), (law, n)
+        assert list(_ground(self.LAWS, n)) == ref_ground(self.LAWS, n)
+
+    def test_made_once_per_law_and_size(self):
+        law = get_law("TRANS8")
+        assert _ground_law(law, 3) is _ground_law(law, 3)
+        # an equal law parsed afresh reads the same entry
+        assert _ground_law(parse_law(CATALOG["TRANS8"]), 3) is _ground_law(law, 3)
+        assert _relabelings(3, _cell_order(3, 9)) is _relabelings(3, _cell_order(3, 9))
+        assert _ground_law.cache_info().maxsize is not None
+        assert _relabelings.cache_info().maxsize is not None
 
 
 class TestDrsiEnumerationReference:
