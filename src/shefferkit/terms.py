@@ -12,12 +12,14 @@ Grammar (whitespace insignificant)::
 
 '0' and '1' refer to a groupoid's designated bottom and top elements.
 
-Printing, variable collection, evaluation, law checking, the table
-search's grounding, and term equality and hashing all read one walk,
-``_walk``: an iterative, hash-consed post-order walk that gives each
+Printing, variable collection, evaluation, the compiling of laws, the
+table search's grounding, and term equality and hashing all read one
+walk, ``_walk``: an iterative, hash-consed post-order walk that gives each
 structurally distinct subterm one node, so a chain of primes of any depth
-costs linear time.  Neither the walk nor the parser, which keeps the
-enclosing parentheses on an explicit stack, recurses on the Python stack.
+costs linear time.  A law is compiled when it is built, and compares,
+hashes and is checked by its program, without another walk.  Neither the
+walk nor the parser, which keeps the enclosing parentheses on an explicit
+stack, recurses on the Python stack.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import getitem
-from types import CodeType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 MAX_LAW_VARIABLES = 6
@@ -355,12 +356,6 @@ _BYTES = {"vector": bytes, "as_map": _as_map, "compose": bytes.translate}
 _TUPLES = {"vector": tuple, "as_map": tuple, "compose": _composed}
 
 
-@lru_cache(maxsize=256)
-def _compiled(source: str) -> CodeType:
-    """The code of a check loop's text; laws of one shape share it."""
-    return compile(source, "<law check loop>", "exec")
-
-
 def _stage(prog: _Program, vectors: dict) -> Callable:
     """The check loop of a law's program, staged by level: ``run(g)``
     returns the verdict of ``check_law``.
@@ -407,8 +402,8 @@ def _stage(prog: _Program, vectors: dict) -> Callable:
     A law without variables has one assignment, a scan of width 1.  The
     loop is generated as text, rather than interpreted, so that no
     dispatch per application costs more than the application on small
-    tables.  The text names slots only, never the law's variables, so laws
-    of one shape share one compiled code object (``_compiled``).
+    tables.  ``_check_loop`` keeps the loops of recent programs, so a law
+    parsed again is not staged again.
     """
     k = len(prog.names)
     base = k + len(prog.consts)
@@ -487,14 +482,21 @@ def _stage(prog: _Program, vectors: dict) -> Callable:
     source = "\n    ".join(head + body) + "\n"
     namespace = {"LawVerdict": LawVerdict, "constant": _constant_index, "failure": _failure,
                  "getitem": getitem, "names": prog.names, **vectors}
-    exec(_compiled(source), namespace)
+    exec(compile(source, "<law check loop>", "exec"), namespace)
     # popped, so that the loop and its globals form no reference cycle
     return namespace.pop("run")
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=256)
+def _check_loop(prog: _Program, wide: bool) -> Callable:
+    """The check loop of a program, with tuple vectors if ``wide``."""
+    return _stage(prog, _TUPLES if wide else _BYTES)
+
+
+@dataclass(frozen=True, eq=False)
 class Law:
-    """Zero or more premise equations and one conclusion equation."""
+    """Zero or more premise equations and one conclusion equation; equal,
+    hashed and checked by its compiled program."""
 
     premises: tuple[tuple[Term, Term], ...]
     conclusion: tuple[Term, Term]
@@ -515,18 +517,13 @@ class Law:
     def _program(self) -> _Program:
         return _compile(self.sides)
 
-    @cached_property
-    def _kernel(self) -> Callable:
-        return _stage(self._program, _BYTES)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Law):
+            return NotImplemented
+        return self._program == other._program
 
-    @cached_property
-    def _wide_kernel(self) -> Callable:
-        return _stage(self._program, _TUPLES)
-
-    def __getstate__(self) -> dict:
-        # the generated check loops do not pickle; they are rebuilt on demand
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_kernel", "_wide_kernel")}
+    def __hash__(self) -> int:
+        return hash(self._program)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -611,4 +608,4 @@ def check_law(g, law: Law) -> LawVerdict:
     bound the groupoid lacks raises ValueError even if no premise holds.
     The assignments are visited n at a time, as rows of the table (``_stage``).
     """
-    return (law._kernel if len(g.table) <= 256 else law._wide_kernel)(g)
+    return _check_loop(law._program, len(g.table) > 256)(g)

@@ -234,6 +234,13 @@ class TestParserReuse:
         assert (code, out) == (0, "16\n")
         assert err.startswith("n=2 require=- forbid=-; models: 16;")
 
+    def test_stats_name_the_commutativity_the_search_requires(self):
+        argv = ["enumerate", "-n", "4", "--require", "AX1,AX2", "--commutative", "--count",
+                "--stats"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (0, "96\n")
+        assert err.startswith("n=4 require=AX1,AX2,COMM forbid=-; models: 96;")
+
     def test_output_option_does_not_carry_over(self, tmp_path):
         golden = (GOLDEN / "induce_ex1.txt").read_text()
         target = tmp_path / "induced.sys"

@@ -37,6 +37,7 @@ from shefferkit import (
     twist_sheffer,
 )
 from shefferkit.cli import parse_system_file
+from shefferkit.terms import _check_loop
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,7 @@ def test_equality_matches_reference(s, t):
         assert hash(s) == hash(t)
     law_s, law_t = Law((), (s, t)), Law((), (copy.deepcopy(s), copy.deepcopy(t)))
     assert law_s == law_t and hash(law_s) == hash(law_t)
+    assert (law_s == Law((), (t, s))) == ref_equal(s, t)
 
 
 def test_prime_tower_hashes_and_compares_in_linear_time():
@@ -245,6 +247,27 @@ def test_prime_tower_hashes_and_compares_in_linear_time():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != parse_law("x" + "'" * 23 + " = x")
     assert time.perf_counter() - start < 0.01
+
+
+def test_built_laws_compare_hash_and_check_without_walking(monkeypatch, nand):
+    # a law compiles its sides once, when it is built; comparing, hashing,
+    # grounding it again and checking it read that program
+    from shefferkit import search, terms
+    texts = ["x" + "'" * 40 + " = x", "x|((x|y)'|z)' = (x|y)'|z", "x|y = 1 => y|x = 0"]
+    laws = [parse_law(text) for text in texts]
+    again = [parse_law(text) for text in texts]
+    ground = [search._ground_law(law, 2) for law in laws]
+    bounded = Groupoid(nand.carrier, nand.table, 0, 1)
+
+    def walk(terms):
+        raise AssertionError("walked a built law")
+
+    monkeypatch.setattr(terms, "_walk", walk)
+    for law, same, instances in zip(laws, again, ground):
+        assert hash(law) == hash(same) and law == same
+        assert all(law != other for other in laws if other is not law)
+        assert search._ground_law(same, 2) is instances
+        assert check_law(bounded, same) == check_law(bounded, law)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +294,13 @@ def _agree(g, law):
              for ins in ref_compile(side) if ins[0] == "const"}
     if any(getattr(g, which) is None for which in needs):
         # constants are resolved before the first assignment
-        for check in (check_law, lambda g, law: law._wide_kernel(g)):
+        for check in (check_law, lambda g, law: _check_loop(law._program, True)(g)):
             with pytest.raises(ValueError, match="no designated"):
                 check(g, law)
     else:
         want = ref_check_law(g, law)
         assert check_law(g, law) == want
-        assert law._wide_kernel(g) == want
+        assert _check_loop(law._program, True)(g) == want
 
 
 def test_check_law_matches_reference_up_to_size_two():
