@@ -475,14 +475,14 @@ def cmd_enumerate(args) -> int:
     if args.count:
         result = _count(spec)
     else:
-        result = EnumerationResult([], 0, 0.0, 0, 0)
+        result = EnumerationResult()
         format_model = _groupoid_formatter(Carrier.of_size(spec.size))
         write = _sys.stdout.write  # looked up per command: callers redirect it
         n = spec.size
         starts = range(0, n * n, n)
         lead = "# model "
         # each model is written from its table's bytes: no groupoid is built or kept
-        for flat, _ in _listing(spec, result):
+        for flat in _listing(spec, result):
             bottom, top = flat[n * n:] or (None, None)
             text = format_model([flat[i:i + n] for i in starts], bottom, top)
             write(f"{lead}{result.count}\n{text}")

@@ -199,15 +199,13 @@ def find_homomorphisms(src, dst, *, strong: bool = False, surjective: bool = Fal
 
 def _isomorphism(a, b) -> Optional[ElementMap]:
     """A bijective homomorphism a -> b, strong for systems, that sends bottom to
-    bottom and top to top, or None.  Each bound a structure has is one more
-    condition against a constant table, so it prunes inside the search."""
-    extras = [(a.bottom, b.bottom), (a.top, b.top),
-              (getattr(a, "involution", None), getattr(b, "involution", None))]
+    bottom and top to top, or None.  The two must have one size and the same
+    bounds and involution present, as equal ``canonical_form`` keys say.  Each
+    bound is one more condition against a constant table, so it prunes inside
+    the search."""
     n = a.carrier.size
-    if n != b.carrier.size or any((x is None) != (y is None) for x, y in extras):
-        return None
     conditions = list(_conditions(a, b, isinstance(a, RelationalSystem)))
-    for x, y in extras[:2]:
+    for x, y in ((a.bottom, b.bottom), (a.top, b.top)):
         if x is not None:
             conditions.append((x, x, x, [[y] * n] * n, (x,), "does not keep the bounds"))
     return next(_maps(a, b, conditions, injective=True), None)

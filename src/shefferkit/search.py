@@ -16,7 +16,7 @@ ground, prunes and forces like any other.
 The search branches only on the next unknown cell in diagonal-first order
 (the defining axioms pin x|x down fastest), then row-major, then bottom and
 top.  Below each complete diagonal the tables come in lexicographic order;
-the runs are merged into one sorted stream, which ``_models`` filters one
+the runs are merged into one sorted stream, which ``_classes`` filters one
 table at a time.
 The search narrows by the relabelings its caller passes and keeps only the
 least member of each class (orderly generation: Read 1978, McKay 1998).
@@ -38,8 +38,8 @@ are known; it walks a smaller class tree than a listing, with the same
 classes and orbit sums.
 Laws are ground once per law and size (``_ground_law``) and relabelings
 once per size and cell order; both are cached and never changed.
-A listing yields each model as its table's bytes, with a groupoid only
-where one was built to check a forbidden law; the CLI formats the bytes.
+A listing yields each model as its table's bytes: the CLI formats them, and
+``run_enumeration`` builds a groupoid from each.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -128,11 +128,16 @@ class EnumerationResult:
     count's tree, narrowed in the search's cell order, is the smaller one
     (at n = 4, AX1,AX2: 1,604 nodes against a listing's 1,804)."""
 
-    groupoids: list[Groupoid]
-    nodes: int
-    seconds: float
-    forced: int
-    count: int
+    groupoids: list[Groupoid] = field(default_factory=list)
+    nodes: int = 0
+    seconds: float = 0.0
+    forced: int = 0
+    count: int = 0
+
+
+def _table_size(spec: EnumerationSpec) -> int:
+    """The cells of a table of the spec: n * n, then the bottom and top."""
+    return spec.size * spec.size + (2 if spec.with_bounds else 0)
 
 
 # A ground instance is (premises, conclusion); every equation is a pair of
@@ -214,7 +219,7 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
     every table with an empty list.
     """
     n = spec.size
-    size = n * n + 2 if spec.with_bounds else n * n
+    size = _table_size(spec)
     bounds = list(range(n * n, size))
     order = _cell_order(n, size)
     # a required commutativity law is kept by mirroring each assigned cell,
@@ -383,18 +388,18 @@ def _narrow(table: Sequence[int], live: Sequence[tuple]) -> Optional[list]:
     return kept
 
 
-def _models(spec: EnumerationSpec, tables: Iterable[tuple[bytes, list]],
-            build: Callable[[bytes], Groupoid]) -> Iterator[tuple[bytes, list, Optional[Groupoid]]]:
-    """The tables on which no forbidden law holds, with their automorphisms
-    and their groupoid, one at a time.  A groupoid is built only to check
-    the forbidden laws; with none to check, it is None."""
-    for flat, automorphisms in tables:
-        g = None
+def _classes(spec: EnumerationSpec, result: EnumerationResult,
+             relabelings: Sequence[tuple]) -> Iterator[tuple[bytes, list]]:
+    """The tables of ``_search_tables`` on which no forbidden law holds, with
+    their automorphisms, one at a time.  A groupoid is built only to check
+    the forbidden laws."""
+    build = _builder(spec.size)
+    for flat, automorphisms in _search_tables(spec, result, relabelings):
         if spec.forbid:
             g = build(flat)
             if any(check_law(g, law).holds for law in spec.forbid):
                 continue
-        yield flat, automorphisms, g
+        yield flat, automorphisms
 
 
 def _builder(n: int) -> Callable[[bytes], Groupoid]:
@@ -420,11 +425,10 @@ def _builder(n: int) -> Callable[[bytes], Groupoid]:
 
 
 def _orbits(spec: EnumerationSpec, relabelings: Sequence[tuple],
-            representatives: Iterable[tuple]) -> Iterator[tuple[bytes, Optional[Groupoid]]]:
+            representatives: Iterable[bytes]) -> Iterator[bytes]:
     """Every member of the orbits of the class representatives under the
-    identity and ``relabelings``, the other n! - 1, in byte order, each
-    with a groupoid or None: a representative carries the one it came with
-    (built to check a forbidden law, or None), any other member None.
+    identity and ``relabelings``, the other n! - 1, as table bytes in byte
+    order.
 
     The representatives must come in ascending byte order, each the least
     member of its class, as the search narrowed by ``relabelings`` over the
@@ -440,10 +444,10 @@ def _orbits(spec: EnumerationSpec, relabelings: Sequence[tuple],
                 for _, sources, perm in relabelings]
     heap: list[tuple[bytes, int, bytes, bytes]] = []
     end = b"\xff"  # above every table, so it flushes the heap
-    for flat, g in itertools.chain(representatives, [(end, None)]):
+    for flat in itertools.chain(representatives, [end]):
         while heap and heap[0][0] < flat:
             member, k, rep, order = heap[0]
-            yield member, None
+            yield member
             k += 1
             if k < len(order):
                 cells, values = prepared[order[k]]
@@ -452,7 +456,7 @@ def _orbits(spec: EnumerationSpec, relabelings: Sequence[tuple],
                 heapq.heappop(heap)
         if flat is end:
             return
-        yield flat, g
+        yield flat
         members = {bytes(cells(flat)).translate(values): i
                    for i, (cells, values) in enumerate(prepared)}
         members.pop(flat, None)
@@ -461,11 +465,9 @@ def _orbits(spec: EnumerationSpec, relabelings: Sequence[tuple],
             heapq.heappush(heap, (ranked[0], 0, flat, bytes(members[m] for m in ranked)))
 
 
-def _listing(spec: EnumerationSpec,
-             result: EnumerationResult) -> Iterator[tuple[bytes, Optional[Groupoid]]]:
+def _listing(spec: EnumerationSpec, result: EnumerationResult) -> Iterator[bytes]:
     """The first ``spec.limit`` models of the listing, one at a time, each
-    as its table's bytes (the bottom and top bytes last, with bounds) and
-    the groupoid built to check a forbidden law on it, or None.
+    as its table's bytes (the bottom and top bytes last, with bounds).
 
     Either listing walks the class tree, as a count does, and checks the
     forbidden laws once per class representative; a plain listing expands
@@ -473,15 +475,13 @@ def _listing(spec: EnumerationSpec,
     branching nodes and forced cells to ``result``, each model adds one to
     ``result.count``, and the end of the stream sets ``result.seconds``."""
     start = time.perf_counter()
-    n = spec.size
-    relabelings = _relabelings(n, tuple(range(n * n + 2 if spec.with_bounds else n * n)))
-    models = _models(spec, _search_tables(spec, result, relabelings), _builder(spec.size))
-    listed = ((flat, g) for flat, _, g in models)
+    relabelings = _relabelings(spec.size, tuple(range(_table_size(spec))))
+    listed = map(itemgetter(0), _classes(spec, result, relabelings))
     if not spec.up_to_isomorphism:
         listed = _orbits(spec, relabelings, listed)
-    for model in itertools.islice(listed, spec.limit):
+    for flat in itertools.islice(listed, spec.limit):
         result.count += 1
-        yield model
+        yield flat
     result.seconds = time.perf_counter() - start
 
 
@@ -492,7 +492,7 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     than a listing's, whose representatives must be least row-major; the
     classes and their orbits are the same.
 
-    Each class representative that ``_models`` keeps there weighs 1 under
+    Each class representative that ``_classes`` keeps there weighs 1 under
     ``up_to_isomorphism``.  Otherwise it weighs the size of its orbit under
     the n! relabelings, n!/(1 + |automorphisms|), the automorphisms being
     those the search leaves at the leaf, which fix the bounds (McKay 1998).
@@ -501,13 +501,12 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
     law builds no groupoid.  The sum stops as soon as it reaches the
     limit."""
     start = time.perf_counter()
-    result = EnumerationResult([], 0, 0.0, 0, 0)
+    result = EnumerationResult()
     n = spec.size
     group_order = math.factorial(n)
-    order = _cell_order(n, n * n + 2 if spec.with_bounds else n * n)
-    tables = _search_tables(spec, result, _relabelings(n, order))
+    classes = _classes(spec, result, _relabelings(n, _cell_order(n, _table_size(spec))))
     weights = (1 if spec.up_to_isomorphism else group_order // (1 + len(automorphisms))
-               for _, automorphisms, _ in _models(spec, tables, _builder(n)))
+               for _, automorphisms in classes)
     limit = math.inf if spec.limit is None else spec.limit
     for total in itertools.accumulate(weights, initial=0):
         if total >= limit:
@@ -519,9 +518,8 @@ def _count(spec: EnumerationSpec) -> EnumerationResult:
 
 def run_enumeration(spec: EnumerationSpec) -> EnumerationResult:
     """The models of the spec in lexicographic order, at most ``spec.limit``."""
-    result = EnumerationResult([], 0, 0.0, 0, 0)
-    build = _builder(spec.size)
-    result.groupoids = [g or build(flat) for flat, g in _listing(spec, result)]
+    result = EnumerationResult()
+    result.groupoids = list(map(_builder(spec.size), _listing(spec, result)))
     return result
 
 

@@ -197,6 +197,17 @@ class TestIsAssigned:
         v = is_assigned(ex1_system, Groupoid(ex1.carrier, tuple(map(tuple, bad))))
         assert not v.holds
 
+    def test_primed_entry_outside_lower_cone(self):
+        # both elements sit below a, so the all-a table passes the first two
+        # checks, but the primed entry a|a = a is not below b
+        carrier = Carrier(("a", "b"))
+        sys = RelationalSystem(carrier, BinaryRelation(carrier, (1, 1)),
+                               ElementMap(carrier, carrier, (0, 1)))
+        v = is_assigned(sys, Groupoid(carrier, ((0, 0), (0, 0))))
+        assert not v.holds
+        assert v.witness == (0, 1)
+        assert v.reason == "primed entry outside L(x, y)"
+
 
 class TestRoundtrip:
     def test_example_policies(self, ex1_system):

@@ -62,6 +62,10 @@ class TestEquivalence:
         assert eq == EquivalenceRelation(car, (0, 0, 1))
         assert hash(eq) == hash(EquivalenceRelation(car, (0, 0, 1)))
 
+    def test_ids_must_cover_the_carrier(self):
+        with pytest.raises(ValueError, match="block ids do not cover the carrier"):
+            EquivalenceRelation(Carrier(("a", "b")), (0,))
+
     def test_dense_id_order(self):
         car = Carrier.of_size(2)
         with pytest.raises(ValueError, match="first-occurrence"):

@@ -178,27 +178,27 @@ class TestStreaming:
         assert count_models(spec_sheffer(3, forbid=("COMM",))) == 40
         assert len(built) == 11
 
-    def test_iso_listing_builds_each_checked_class_once(self, monkeypatch):
-        # the listing built each kept representative a second time after
-        # the forbidden law was checked on it: 534 groupoids
+    def test_iso_listing_builds_each_kept_class_after_checking_it(self, monkeypatch):
+        # the listing streams table bytes only, so each of the 264 kept
+        # representatives is built again after the forbidden law was checked
+        # on it: 270 checked and 264 listed, 534 groupoids
         built = []
         unchecked = Groupoid._unchecked
         monkeypatch.setattr(search.Groupoid, "_unchecked",
                             lambda *args: built.append(args) or unchecked(*args))
         spec = EnumerationSpec(4, ("AX1", "AX2"), forbid=(get_law("COMM"),), up_to_isomorphism=True)
         assert len(run_enumeration(spec).groupoids) == 264
-        assert len(built) == 270
+        assert len(built) == 534
 
-    def test_listing_builds_each_model_once(self, monkeypatch):
-        # each member of an orbit was built after its representative had been
-        # built to check the forbidden law: 5624 groupoids; now the 5354
-        # models once each, and the 6 representatives that COMM rejects
+    def test_listing_builds_each_model_after_checking_its_class(self, monkeypatch):
+        # the 270 class representatives are built to check the forbidden
+        # law, then the 5354 listed models from their bytes: 5624 groupoids
         built = []
         unchecked = Groupoid._unchecked
         monkeypatch.setattr(search.Groupoid, "_unchecked",
                             lambda *args: built.append(args) or unchecked(*args))
         assert len(run_enumeration(spec_sheffer(4, forbid=("COMM",))).groupoids) == 5354
-        assert len(built) == 5360
+        assert len(built) == 5624
 
     @pytest.mark.parametrize("argv, builds", [
         # 5450, 270 and 468 when the listing printed a groupoid per model

@@ -61,8 +61,8 @@ from shefferkit import (
     parse_law,
     run_enumeration,
 )
-from shefferkit.search import (_builder, _cell_order, _count, _ground, _ground_law, _involutions,
-                               _models, _narrow, _relabelings, _search_tables)
+from shefferkit.search import (_builder, _cell_order, _classes, _count, _ground, _ground_law,
+                               _involutions, _narrow, _relabelings, _search_tables)
 from shefferkit.terms import _compile
 
 
@@ -241,7 +241,7 @@ def ref_models(spec, result=None):
     result = result or EnumerationResult([], 0, 0.0, 0, 0)
     relabelings = row_major(spec.size, spec.with_bounds) if spec.up_to_isomorphism else []
     build = _builder(spec.size)
-    return [build(flat) for flat, _, _ in _models(spec, _search_tables(spec, result, relabelings), build)]
+    return [build(flat) for flat, _ in _classes(spec, result, relabelings)]
 
 
 def ref_count_models(spec):
