@@ -2,9 +2,13 @@
 
 The table search follows SEM (Zhang & Zhang 1995) and Mace4 (McCune 2003).
 Every required law is ground once over all variable assignments into flat
-instances with literal variable values.  Each undecided instance sits on
-the watch list of one unknown cell that blocks its evaluation, so assigning
-a cell re-examines only the instances on that cell's list: each is decided
+instances with literal variable values, and each side of an instance is
+compiled into a closure of straight-line code that reads the side's cells
+from the table and returns its value or the cell that blocks it; the code
+is generated once per shape of side, and each closure binds its side's
+literal cells.  Each undecided instance sits on the watch list of one
+unknown cell that blocks its evaluation, so assigning a cell re-examines
+only the instances on that cell's list: each is decided
 (a violation prunes the subtree), moves to the list of its next blocking
 cell, or forces a value, when one side of an identity (or of the conclusion
 of a quasi-identity whose premises hold) is known and the other side lacks
@@ -36,8 +40,10 @@ it compares them in the search's own cell order (``_cell_order``), where
 a relabeling that differs is settled as soon as the cells it differs on
 are known; it walks a smaller class tree than a listing, with the same
 classes and orbit sums.
-Laws are ground once per law and size (``_ground_law``) and relabelings
-once per size and cell order; both are cached and never changed.
+Laws are ground once per law and size (``_ground_law``), their sides
+compiled once per law, size and table size (``_compiled_law``), and
+relabelings made once per size and cell order; all are cached and never
+changed.
 A listing yields each model as its table's bytes: the CLI formats them, and
 ``run_enumeration`` builds a groupoid from each.
 """
@@ -141,17 +147,22 @@ def _table_size(spec: EnumerationSpec) -> int:
 
 
 # A ground instance is (premises, conclusion); every equation is a pair of
-# sides.  A side is a literal value (a bare variable) or a tuple of
-# instructions (a, b): an operand k < 0 is the result of instruction ~k of
-# the same side, a literal left operand is stored times n and a literal
-# right operand as it is, so a cell of literals is a + b; the side's value
-# is that of its last instruction.  A constant is an instruction of its own
-# that reads the bound cell: (n * n, 0) the bottom, (n * n, 1) the top.
+# sides.  ``_ground_law`` writes a side as a literal value (a bare variable)
+# or a tuple of instructions (a, b): an operand k < 0 is the result of
+# instruction ~k of the same side, a literal left operand is stored times n
+# and a literal right operand as it is, so a cell of literals is a + b; the
+# side's value is that of its last instruction.  A constant is an
+# instruction of its own that reads the bound cell: (n * n, 0) the bottom,
+# (n * n, 1) the top.  The search evaluates no instructions: ``_ground``
+# gives each side of instructions as a compiled closure ``side(table)``
+# (``_side``), generated once per shape and bound to the side's literals.
 
 
-def _ground(laws: Sequence[Law], n: int) -> tuple:
-    """Every law at every assignment of its variables, as flat instances."""
-    return tuple(itertools.chain.from_iterable(_ground_law(law, n) for law in laws))
+def _ground(laws: Sequence[Law], n: int, size: int) -> tuple:
+    """Every law at every assignment of its variables, as flat instances
+    whose sides are literal values or compiled closures, for tables of
+    ``size`` cells."""
+    return tuple(itertools.chain.from_iterable(_compiled_law(law, n, size) for law in laws))
 
 
 @lru_cache(maxsize=256)
@@ -179,6 +190,77 @@ def _ground_law(law: Law, n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _compiled_law(law: Law, n: int, size: int) -> tuple:
+    """The instances of ``_ground_law(law, n)`` with each side of
+    instructions compiled (``_side``) for tables of ``size`` cells, made
+    once per law, size and table size."""
+    return tuple((tuple((_side(l, n, size), _side(r, n, size)) for l, r in premises),
+                  (_side(conclusion[0], n, size), _side(conclusion[1], n, size)))
+                 for premises, conclusion in _ground_law(law, n))
+
+
+def _side(code: Union[int, tuple], n: int, size: int) -> Union[int, Callable]:
+    """A literal side as it is; a side of instructions as a closure
+    ``side(table)`` over ``table`` (-1 where unknown) that returns its value,
+    else ~cell when only its outermost cell is unknown, else ~cell - size
+    for the first unknown inner cell."""
+    if code.__class__ is int:
+        return code
+    shape = tuple((a if a < 0 else None, b if b < 0 else None) for a, b in code)
+    literals = [a + b if a >= 0 and b >= 0 else a if a >= 0 else b
+                for a, b in code if a >= 0 or b >= 0]
+    return _side_maker(shape)(n, size, *literals)
+
+
+@lru_cache(maxsize=256)
+def _side_maker(shape: tuple) -> Callable:
+    """The maker of the closures of every side of ``shape``, generated once:
+    ``make(n, size, *literals)`` binds the side's literal operands, in
+    order, a cell of two literals as their sum, and returns ``side(table)``.
+
+    ``shape`` gives each instruction's operands (a, b), None where the
+    operand is a literal.  The closure reads one cell per instruction and
+    returns at the first unknown one, with no loop over instructions.  For
+    the left side of TRANS8, ``x|((x|y)'|z)'``, it is::
+
+        def make(n, size, k0, k2, k4):
+            def side(table):
+                v0 = table[k0]
+                if v0 < 0: return ~(k0) - size
+                v1 = table[v0 * n + v0]
+                if v1 < 0: return ~(v0 * n + v0) - size
+                v2 = table[v1 * n + k2]
+                if v2 < 0: return ~(v1 * n + k2) - size
+                v3 = table[v2 * n + v2]
+                if v3 < 0: return ~(v2 * n + v2) - size
+                v4 = table[k4 + v3]
+                if v4 < 0: return ~(k4 + v3)
+                return v4
+            return side
+
+    The text grows linearly with the side, and nothing in it nests, so a
+    side of any depth compiles without recursion."""
+    params = ["n", "size"]
+    body = ["def side(table):"]
+    for i, (a, b) in enumerate(shape):
+        if a is None or b is None:
+            params.append(f"k{i}")
+        if a is None and b is None:
+            cell = f"k{i}"
+        else:
+            left = f"k{i}" if a is None else f"v{~a} * n"
+            right = f"k{i}" if b is None else f"v{~b}"
+            cell = f"{left} + {right}"
+        inner = " - size" if i < len(shape) - 1 else ""
+        body += [f"    v{i} = table[{cell}]", f"    if v{i} < 0: return ~({cell}){inner}"]
+    body.append(f"    return v{len(shape) - 1}")
+    source = f"def make({', '.join(params)}):\n    " + "\n    ".join(body + ["return side"]) + "\n"
+    namespace: dict = {}
+    exec(compile(source, "<ground side>", "exec"), namespace)
+    return namespace.pop("make")
+
+
 def _is_commutativity(law: Law) -> bool:
     """Whether the law is ``x|y = y|x`` up to the names and the sides' order."""
     return not law.premises and len(law.variables) == 2 and \
@@ -202,9 +284,11 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
     ``n * n`` and the top ``n * n + 1``, so a table's bytes end with them.
     ``table`` holds -1 where unknown.
     Each undecided instance sits on the watch list of one unknown cell that
-    blocks it.  Assigning a cell re-examines only that cell's list: an
-    instance is decided, moves to the list of its next blocking cell, or
-    forces its one missing cell.  ``trail`` records each assignment as the
+    blocks it.  Assigning a cell re-examines only that cell's list: each
+    side of the instance is a literal or a compiled closure called on
+    ``table`` (``_ground``), which gives the side's value or its blocking
+    cell, and the instance is decided, moves to the list of its next
+    blocking cell, or forces its one missing cell.  ``trail`` records each assignment as the
     cell and each watch-list append as ``~cell``, so backtracking pops it.
 
     Each complete diagonal starts a run on its own copy of ``table`` and
@@ -233,23 +317,6 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
         each complete table, narrowing ``live`` at every node."""
         trail: list[int] = []
 
-        def side(code: tuple) -> int:
-            """Value of a side of instructions; else ~cell when only its
-            outermost cell is unknown, else ~cell - size for the first
-            unknown inner cell."""
-            vals: list[int] = []
-            for a, b in code:
-                if a < 0:
-                    a = vals[~a] * n
-                if b < 0:
-                    b = vals[~b]
-                cell = a + b
-                v = table[cell]
-                if v < 0:
-                    return ~cell if len(vals) == len(code) - 1 else ~cell - size
-                vals.append(v)
-            return v
-
         def blocker(value: int) -> int:
             return ~value if value >= -size else ~(value + size)
 
@@ -266,8 +333,8 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
         def examine(inst, queue: list[int]) -> bool:
             """Settle or re-file one instance; False on a violation."""
             for l, r in inst[0]:
-                lv = l if l.__class__ is int else side(l)
-                rv = r if r.__class__ is int else side(r)
+                lv = l if l.__class__ is int else l(table)
+                rv = r if r.__class__ is int else r(table)
                 if lv >= 0 and rv >= 0:
                     if lv != rv:
                         return True
@@ -277,8 +344,8 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
                 trail.append(~cell)
                 return True
             l, r = inst[1]
-            lv = l if l.__class__ is int else side(l)
-            rv = r if r.__class__ is int else side(r)
+            lv = l if l.__class__ is int else l(table)
+            rv = r if r.__class__ is int else r(table)
             if lv >= 0 and rv >= 0:
                 return lv == rv
             if lv >= 0 and rv >= -size:
@@ -338,7 +405,8 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
             yield from rec(0, live)
 
     prunable = [law for law in spec.require if not _is_commutativity(law)]
-    runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n), True, relabelings)
+    runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n, size), True,
+                  relabelings)
     yield from heapq.merge(*runs)
 
 

@@ -403,7 +403,8 @@ def _stage(prog: _Program, vectors: dict) -> Callable:
     loop is generated as text, rather than interpreted, so that no
     dispatch per application costs more than the application on small
     tables.  ``_check_loop`` keeps the loops of recent programs, so a law
-    parsed again is not staged again.
+    parsed again is not staged again, and a law keeps its own loop for
+    small tables (``Law._loop``), so a check does not hash its program.
     """
     k = len(prog.names)
     base = k + len(prog.consts)
@@ -505,6 +506,11 @@ class Law:
         if len(self.variables) > MAX_LAW_VARIABLES:
             raise ValueError(f"law uses more than {MAX_LAW_VARIABLES} variables")
 
+    def __reduce__(self):
+        # a check loop is generated code, which does not pickle: an
+        # unpickled law is built again from its equations
+        return Law, (self.premises, self.conclusion)
+
     def __repr__(self) -> str:
         return f"parse_law({format_law(self)!r})"
 
@@ -516,6 +522,13 @@ class Law:
     @cached_property
     def _program(self) -> _Program:
         return _compile(self.sides)
+
+    @cached_property
+    def _loop(self) -> Callable:
+        """The check loop for tables of at most 256 elements, read from
+        ``_check_loop`` once, so that each check skips hashing the program
+        as the cache key."""
+        return _check_loop(self._program, False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Law):
@@ -608,4 +621,4 @@ def check_law(g, law: Law) -> LawVerdict:
     bound the groupoid lacks raises ValueError even if no premise holds.
     The assignments are visited n at a time, as rows of the table (``_stage``).
     """
-    return _check_loop(law._program, len(g.table) > 256)(g)
+    return law._loop(g) if len(g.table) <= 256 else _check_loop(law._program, True)(g)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -299,6 +300,37 @@ class TestAgainstBruteForce:
         law = parse_law("x" + "'" * 60 + " = x")
         got = [g.table for g in run_enumeration(EnumerationSpec(2, require=(law,))).groupoids]
         assert got == [g.table for g in groupoids_naive(2, lambda g: check_law(g, law).holds)]
+
+
+@contextlib.contextmanager
+def shallow_stack(room=100):
+    """Allow only ``room`` more Python frames than the caller holds, fewer
+    than a recursion over the 400 applications of a deep law would need."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + room)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepLaws:
+    """A side of a deep law is ground, compiled into one straight-line
+    closure and searched without recursion on the Python stack."""
+
+    @pytest.mark.parametrize("text, count", [
+        ("|".join(["x"] * 5001) + " = x", 4),
+        ("x" + "'" * 400 + " = x", 52),
+    ], ids=["chain-5000", "tower-400"])
+    def test_counts_at_size_3(self, text, count):
+        law = parse_law(text)
+        spec = EnumerationSpec(3, require=("AX1", "AX2", law))
+        with shallow_stack():
+            assert count_models(spec) == count
+            assert len(run_enumeration(spec).groupoids) == count
 
 
 class TestListingText:

@@ -20,14 +20,17 @@ the pairs that passed the automorphism tie-break ``ref_kept_pairs`` and
 filtered them through ``check_law`` on the required laws with constants
 and on the forbidden laws; ``ref_orbit_weight`` is the earlier
 bound-fixing stabilizer weight of a count.  ``ref_ground`` is the earlier
-grounding, which built every law's instances afresh on each call.  They
-stay here as the reference that ``canonical_form``, ``up_to_isomorphism``,
-the node check ``_narrow`` on a table and its bound cells, the listing by
-orbits, the bounded listing, the orbit sums of ``count_models``, the
-cached ``_ground``, ``enumerate_drsi`` and ``_involutions`` must agree
-with exactly: the same isomorphism partition, the same representatives,
-the same verdicts, the same counts, the same instances, and the same
-systems and maps in the same order.
+grounding, which built every law's instances afresh on each call, and
+``ref_side`` the earlier interpreter of a ground side's instructions,
+which the search ran each time an instance woke.  They stay here as the
+reference that ``canonical_form``, ``up_to_isomorphism``, the node check
+``_narrow`` on a table and its bound cells, the listing by orbits, the
+bounded listing, the orbit sums of ``count_models``, the cached
+``_ground_law``, the compiled sides of ``_compiled_law``,
+``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
+isomorphism partition, the same representatives, the same verdicts, the
+same counts, the same instances, the same side values and blocking cells,
+and the same systems and maps in the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the labelled table search as measured before its propagation step was
@@ -38,6 +41,7 @@ search cuts subtrees; a listing and a count walk that tree.
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -61,8 +65,9 @@ from shefferkit import (
     parse_law,
     run_enumeration,
 )
-from shefferkit.search import (_builder, _cell_order, _classes, _count, _ground, _ground_law,
-                               _involutions, _narrow, _relabelings, _search_tables)
+from shefferkit.search import (_builder, _cell_order, _classes, _compiled_law, _count, _ground,
+                               _ground_law, _involutions, _narrow, _relabelings, _search_tables,
+                               _side_maker)
 from shefferkit.terms import _compile
 
 
@@ -203,6 +208,21 @@ def ref_ground(laws, n):
             eqs = list(zip(ground[0::2], ground[1::2]))
             out.append((tuple(eqs[:-1]), eqs[-1]))
     return out
+
+
+def ref_side(code, table, n, size):
+    vals = []
+    for a, b in code:
+        if a < 0:
+            a = vals[~a] * n
+        if b < 0:
+            b = vals[~b]
+        cell = a + b
+        v = table[cell]
+        if v < 0:
+            return ~cell if len(vals) == len(code) - 1 else ~cell - size
+        vals.append(v)
+    return v
 
 
 def ref_involutions(n):
@@ -743,11 +763,10 @@ class TestGroundReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_same_instances(self, n):
         for law in self.LAWS:
-            got = _ground((law,), n)
-            assert isinstance(got, tuple) and isinstance(_ground_law(law, n), tuple)
+            got = _ground_law(law, n)
+            assert isinstance(got, tuple)
             assert list(got) == ref_ground([law], n), (law, n)
             assert frozen(got), (law, n)
-        assert list(_ground(self.LAWS, n)) == ref_ground(self.LAWS, n)
 
     def test_made_once_per_law_and_size(self):
         law = get_law("TRANS8")
@@ -757,6 +776,77 @@ class TestGroundReference:
         assert _relabelings(3, _cell_order(3, 9)) is _relabelings(3, _cell_order(3, 9))
         assert _ground_law.cache_info().maxsize is not None
         assert _relabelings.cache_info().maxsize is not None
+
+
+def sides(instance):
+    """The sides of a ground instance: both of each premise, then of the
+    conclusion."""
+    premises, conclusion = instance
+    return [side for eq in premises + (conclusion,) for side in eq]
+
+
+def shape(code):
+    """Which operands of a side's instructions are results of earlier ones."""
+    return tuple((a if a < 0 else None, b if b < 0 else None) for a, b in code)
+
+
+class TestCompiledSidesReference:
+    """Each ground side of instructions is compiled into a closure that
+    returns what the earlier interpreter returns on every partial table:
+    the value, ~cell for an unknown outermost cell, ~cell - size for the
+    first unknown inner cell."""
+
+    LAWS = TestGroundReference.LAWS
+
+    @pytest.mark.parametrize("bounds", [False, True], ids=["cells", "bounds"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_values_on_partial_tables(self, n, bounds):
+        size = n * n + 2 * bounds
+        rng = random.Random(f"compiled sides {n} {bounds}")
+        tables = [[-1 if rng.random() < unknown else rng.randrange(n) for _ in range(size)]
+                  for unknown in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0) for _ in range(20)]
+        compared = 0
+        for law in self.LAWS:
+            if law.constants and not bounds:
+                continue
+            ground = _ground_law(law, n)
+            compiled = _compiled_law(law, n, size)
+            assert len(compiled) == len(ground)
+            for inst, code_inst in zip(compiled, ground):
+                assert [len(eq) for eq in inst[0]] == [len(eq) for eq in code_inst[0]]
+                for side, code in zip(sides(inst), sides(code_inst)):
+                    if code.__class__ is int:
+                        assert side == code
+                        continue
+                    for table in tables:
+                        assert side(table) == ref_side(code, table, n, size), (law, code, table)
+                        compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ground_chains_the_compiled_laws(self, n):
+        got = _ground(self.LAWS, n, n * n + 2)
+        assert got == tuple(itertools.chain.from_iterable(
+            _compiled_law(law, n, n * n + 2) for law in self.LAWS))
+
+    def test_one_function_per_shape(self):
+        codes = {}
+        for law in self.LAWS:
+            for n in (2, 3):
+                for size in (n * n, n * n + 2):
+                    if law.constants and size == n * n:
+                        continue
+                    for inst, code_inst in zip(_compiled_law(law, n, size), _ground_law(law, n)):
+                        for side, code in zip(sides(inst), sides(code_inst)):
+                            if code.__class__ is not int:
+                                codes.setdefault(shape(code), set()).add(side.__code__)
+        # every side of one shape runs one generated function, whatever its
+        # literals, size and table size; sides of another shape another one
+        assert all(len(functions) == 1 for functions in codes.values())
+        assert len(set.union(*codes.values())) == len(codes)
+        assert _compiled_law(self.LAWS[0], 3, 9) is _compiled_law(self.LAWS[0], 3, 9)
+        assert _side_maker.cache_info().maxsize is not None
+        assert _compiled_law.cache_info().maxsize is not None
 
 
 class TestDrsiEnumerationReference:

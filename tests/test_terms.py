@@ -300,11 +300,13 @@ class TestCheckLaw:
 
     def test_checked_law_pickles_with_both_loops(self, nand):
         # the check loops are generated code, which does not pickle; they
-        # are kept in one cache keyed by program, never on the law
+        # are kept in one cache keyed by program, and a law keeps its loop
+        # for small tables, which a pickle drops
         law = parse_law("x|y = y|x")
         verdict = check_law(nand, law)
         assert _check_loop(law._program, True)(nand) == verdict
-        assert set(vars(law)) == {"premises", "conclusion", "_program"}
+        assert set(vars(law)) == {"premises", "conclusion", "_program", "_loop"}
+        assert law._loop is _check_loop(law._program, False)
         again = pickle.loads(pickle.dumps(law))
         assert again == law and check_law(nand, again) == verdict
 
