@@ -2,18 +2,18 @@
 
 The table search follows SEM (Zhang & Zhang 1995) and Mace4 (McCune 2003).
 Every required law is ground once over all variable assignments into flat
-instances with literal variable values, and each side of an instance is
-compiled into a closure of straight-line code that reads the side's cells
-from the table and returns its value or the cell that blocks it; the code
-is generated once per shape of side, and each closure binds its side's
-literal cells.  Each undecided instance sits on the watch list of one
-unknown cell that blocks its evaluation, so assigning a cell re-examines
-only the instances on that cell's list: each is decided
-(a violation prunes the subtree), moves to the list of its next blocking
-cell, or forces a value, when one side of an identity (or of the conclusion
-of a quasi-identity whose premises hold) is known and the other side lacks
-only its outermost cell.  Forced cells join the same propagation queue;
-a trail undoes assignments and list moves on backtrack.
+instances, and each side of an instance is a variable's value or a closure
+of straight-line code that reads the side's cells from the table and
+returns its value or the cell that blocks it; the code is generated once
+per compiled side, and each closure binds its variables' values.  Each
+undecided instance sits on the watch list of one unknown cell that blocks
+its evaluation, so assigning a cell re-examines only the instances on that
+cell's list: each is decided (a violation prunes the subtree), moves to
+the list of its next blocking cell, or forces a value, when one side of an
+identity (or of the conclusion of a quasi-identity whose premises hold) is
+known and the other side lacks only its outermost cell.  Forced cells join
+the same propagation queue; a trail undoes assignments and list moves on
+backtrack.
 With bounds, the bottom and the top are two more cells after the table's,
 as constants are 0-ary cells in SEM and Mace4, so a law naming 0 or 1 is
 ground, prunes and forces like any other.
@@ -40,10 +40,9 @@ it compares them in the search's own cell order (``_cell_order``), where
 a relabeling that differs is settled as soon as the cells it differs on
 are known; it walks a smaller class tree than a listing, with the same
 classes and orbit sums.
-Laws are ground once per law and size (``_ground_law``), their sides
-compiled once per law, size and table size (``_compiled_law``), and
-relabelings made once per size and cell order; all are cached and never
-changed.
+Laws are ground once per law, size and table size (``_ground_law``), the
+code of each side generated once (``_side_maker``), and relabelings made
+once per size and cell order; all are cached and never changed.
 A listing yields each model as its table's bytes: the CLI formats them, and
 ``run_enumeration`` builds a groupoid from each.
 """
@@ -70,7 +69,7 @@ from .relcore import (
 )
 from .morphisms import _isomorphism
 from .sheffer import Groupoid, get_law
-from .terms import Law, check_law, _compile
+from .terms import Law, check_law, _compile, _Program
 
 MAX_ENUM_SIZE = 5
 MAX_DRSI_SIZE = 4
@@ -146,116 +145,85 @@ def _table_size(spec: EnumerationSpec) -> int:
     return spec.size * spec.size + (2 if spec.with_bounds else 0)
 
 
-# A ground instance is (premises, conclusion); every equation is a pair of
-# sides.  ``_ground_law`` writes a side as a literal value (a bare variable)
-# or a tuple of instructions (a, b): an operand k < 0 is the result of
-# instruction ~k of the same side, a literal left operand is stored times n
-# and a literal right operand as it is, so a cell of literals is a + b; the
-# side's value is that of its last instruction.  A constant is an
-# instruction of its own that reads the bound cell: (n * n, 0) the bottom,
-# (n * n, 1) the top.  The search evaluates no instructions: ``_ground``
-# gives each side of instructions as a compiled closure ``side(table)``
-# (``_side``), generated once per shape and bound to the side's literals.
-
-
-def _ground(laws: Sequence[Law], n: int, size: int) -> tuple:
-    """Every law at every assignment of its variables, as flat instances
-    whose sides are literal values or compiled closures, for tables of
-    ``size`` cells."""
-    return tuple(itertools.chain.from_iterable(_compiled_law(law, n, size) for law in laws))
-
-
 @lru_cache(maxsize=256)
-def _ground_law(law: Law, n: int) -> tuple:
-    """``law`` at every assignment of its variables, as flat instances, made
-    once per law and size: the search reads instances and never changes them."""
+def _ground_law(law: Law, n: int, size: int) -> tuple:
+    """``law`` at every assignment of its variables, as flat instances for
+    tables of ``size`` cells, made once per law, size and table size: the
+    search reads instances and never changes them.
+
+    An instance is (premises, conclusion), each equation a pair of sides,
+    and a side is a bare variable's value or the closure ``side(table)``
+    that ``_side_maker`` makes for the side's values."""
     # each side compiles on its own, so its instructions keep the side's
     # own post-order, which decides the cell an instance watches first
     sides = []
     for t in law.sides:
         prog = _compile([t])
-        reads = tuple((n * n, ("bottom", "top").index(which)) for which in prog.consts)
-        sides.append(([law.variables.index(name) for name in prog.names], reads, prog.apps,
-                      prog.roots[0], [~i for i in range(len(reads) + len(prog.apps))]))
+        pos = [law.variables.index(name) for name in prog.names]
+        sides.append((pos, _side_maker(prog) if prog.apps or prog.consts else None))
     out = []
     for combo in itertools.product(range(n), repeat=len(law.variables)):
-        ground = []
-        for pos, reads, apps, root, results in sides:
-            rights = [combo[p] for p in pos] + results
-            lefts = [combo[p] * n for p in pos] + results
-            ground.append(rights[root] if root < len(pos) else
-                          reads + tuple((lefts[a], rights[b]) for a, b in apps))
+        ground = [make(n, size, *[combo[p] for p in pos]) if make else combo[pos[0]]
+                  for pos, make in sides]
         eqs = list(zip(ground[0::2], ground[1::2]))
         out.append((tuple(eqs[:-1]), eqs[-1]))
     return tuple(out)
 
 
 @lru_cache(maxsize=256)
-def _compiled_law(law: Law, n: int, size: int) -> tuple:
-    """The instances of ``_ground_law(law, n)`` with each side of
-    instructions compiled (``_side``) for tables of ``size`` cells, made
-    once per law, size and table size."""
-    return tuple((tuple((_side(l, n, size), _side(r, n, size)) for l, r in premises),
-                  (_side(conclusion[0], n, size), _side(conclusion[1], n, size)))
-                 for premises, conclusion in _ground_law(law, n))
+def _side_maker(prog: _Program) -> Callable:
+    """The maker of the closures of the side compiled as ``prog``, generated
+    once: ``make(n, size, *values)`` binds the values of the side's
+    variables and returns ``side(table)``, which reads ``table`` (-1 where
+    unknown) and returns the side's value, else ~cell when only its
+    outermost cell is unknown, else ~cell - size for the first unknown
+    inner cell.  With bounds the bottom is cell n * n and the top n * n + 1.
 
+    The closure reads one cell per constant and application, in order, and
+    returns at the first unknown one, with no loop over them; ``make``
+    computes a row offset per variable and the cell of each constant and
+    of each application of two variables.  For the left side of TRANS8,
+    ``x|((x|y)'|z)'``, it is::
 
-def _side(code: Union[int, tuple], n: int, size: int) -> Union[int, Callable]:
-    """A literal side as it is; a side of instructions as a closure
-    ``side(table)`` over ``table`` (-1 where unknown) that returns its value,
-    else ~cell when only its outermost cell is unknown, else ~cell - size
-    for the first unknown inner cell."""
-    if code.__class__ is int:
-        return code
-    shape = tuple((a if a < 0 else None, b if b < 0 else None) for a, b in code)
-    literals = [a + b if a >= 0 and b >= 0 else a if a >= 0 else b
-                for a, b in code if a >= 0 or b >= 0]
-    return _side_maker(shape)(n, size, *literals)
-
-
-@lru_cache(maxsize=256)
-def _side_maker(shape: tuple) -> Callable:
-    """The maker of the closures of every side of ``shape``, generated once:
-    ``make(n, size, *literals)`` binds the side's literal operands, in
-    order, a cell of two literals as their sum, and returns ``side(table)``.
-
-    ``shape`` gives each instruction's operands (a, b), None where the
-    operand is a literal.  The closure reads one cell per instruction and
-    returns at the first unknown one, with no loop over instructions.  For
-    the left side of TRANS8, ``x|((x|y)'|z)'``, it is::
-
-        def make(n, size, k0, k2, k4):
+        def make(n, size, x0, x1, x2):
+            r0 = x0 * n
+            c0 = r0 + x1
             def side(table):
-                v0 = table[k0]
-                if v0 < 0: return ~(k0) - size
+                v0 = table[c0]
+                if v0 < 0: return ~(c0) - size
                 v1 = table[v0 * n + v0]
                 if v1 < 0: return ~(v0 * n + v0) - size
-                v2 = table[v1 * n + k2]
-                if v2 < 0: return ~(v1 * n + k2) - size
+                v2 = table[v1 * n + x2]
+                if v2 < 0: return ~(v1 * n + x2) - size
                 v3 = table[v2 * n + v2]
                 if v3 < 0: return ~(v2 * n + v2) - size
-                v4 = table[k4 + v3]
-                if v4 < 0: return ~(k4 + v3)
+                v4 = table[r0 + v3]
+                if v4 < 0: return ~(r0 + v3)
                 return v4
             return side
 
     The text grows linearly with the side, and nothing in it nests, so a
     side of any depth compiles without recursion."""
-    params = ["n", "size"]
+    k = len(prog.names)
+    rows = sorted({a for a, _ in prog.apps if a < k})
+    head = [f"r{j} = x{j} * n" for j in rows]
+    head += [f"c{i} = n * n + {('bottom', 'top').index(which)}"
+             for i, which in enumerate(prog.consts)]
+    cells = [f"c{i}" for i in range(len(prog.consts))]
+    # a slot past the variables is the result of instruction slot - k
+    for i, (a, b) in enumerate(prog.apps, len(prog.consts)):
+        cell = f"{f'r{a}' if a < k else f'v{a - k} * n'} + {f'x{b}' if b < k else f'v{b - k}'}"
+        if a < k and b < k:
+            head.append(f"c{i} = {cell}")
+            cell = f"c{i}"
+        cells.append(cell)
     body = ["def side(table):"]
-    for i, (a, b) in enumerate(shape):
-        if a is None or b is None:
-            params.append(f"k{i}")
-        if a is None and b is None:
-            cell = f"k{i}"
-        else:
-            left = f"k{i}" if a is None else f"v{~a} * n"
-            right = f"k{i}" if b is None else f"v{~b}"
-            cell = f"{left} + {right}"
-        inner = " - size" if i < len(shape) - 1 else ""
+    for i, cell in enumerate(cells):
+        inner = " - size" if i < len(cells) - 1 else ""
         body += [f"    v{i} = table[{cell}]", f"    if v{i} < 0: return ~({cell}){inner}"]
-    body.append(f"    return v{len(shape) - 1}")
-    source = f"def make({', '.join(params)}):\n    " + "\n    ".join(body + ["return side"]) + "\n"
+    body.append(f"    return v{len(cells) - 1}")
+    params = ", ".join(["n", "size"] + [f"x{j}" for j in range(k)])
+    source = f"def make({params}):\n    " + "\n    ".join(head + body + ["return side"]) + "\n"
     namespace: dict = {}
     exec(compile(source, "<ground side>", "exec"), namespace)
     return namespace.pop("make")
@@ -286,10 +254,11 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
     Each undecided instance sits on the watch list of one unknown cell that
     blocks it.  Assigning a cell re-examines only that cell's list: each
     side of the instance is a literal or a compiled closure called on
-    ``table`` (``_ground``), which gives the side's value or its blocking
-    cell, and the instance is decided, moves to the list of its next
-    blocking cell, or forces its one missing cell.  ``trail`` records each assignment as the
-    cell and each watch-list append as ``~cell``, so backtracking pops it.
+    ``table`` (``_ground_law``), which gives the side's value or its
+    blocking cell, and the instance is decided, moves to the list of its
+    next blocking cell, or forces its one missing cell.  ``trail`` records
+    each assignment as the cell and each watch-list append as ``~cell``, so
+    backtracking pops it.
 
     Each complete diagonal starts a run on its own copy of ``table`` and
     the watch lists.  A run branches on the later cells in row-major order,
@@ -404,9 +373,9 @@ def _search_tables(spec: EnumerationSpec, result: EnumerationResult,
         if all(examine(inst, queue) for inst in instances) and propagate(queue):
             yield from rec(0, live)
 
-    prunable = [law for law in spec.require if not _is_commutativity(law)]
-    runs = search([-1] * size, [[] for _ in range(size)], _ground(prunable, n, size), True,
-                  relabelings)
+    instances = itertools.chain.from_iterable(
+        _ground_law(law, n, size) for law in spec.require if not _is_commutativity(law))
+    runs = search([-1] * size, [[] for _ in range(size)], instances, True, relabelings)
     yield from heapq.merge(*runs)
 
 

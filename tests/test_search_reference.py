@@ -20,17 +20,18 @@ the pairs that passed the automorphism tie-break ``ref_kept_pairs`` and
 filtered them through ``check_law`` on the required laws with constants
 and on the forbidden laws; ``ref_orbit_weight`` is the earlier
 bound-fixing stabilizer weight of a count.  ``ref_ground`` is the earlier
-grounding, which built every law's instances afresh on each call, and
-``ref_side`` the earlier interpreter of a ground side's instructions,
-which the search ran each time an instance woke.  They stay here as the
-reference that ``canonical_form``, ``up_to_isomorphism``, the node check
-``_narrow`` on a table and its bound cells, the listing by orbits, the
-bounded listing, the orbit sums of ``count_models``, the cached
-``_ground_law``, the compiled sides of ``_compiled_law``,
-``enumerate_drsi`` and ``_involutions`` must agree with exactly: the same
-isomorphism partition, the same representatives, the same verdicts, the
-same counts, the same instances, the same side values and blocking cells,
-and the same systems and maps in the same order.
+grounding, which built every law's instances afresh on each call with
+each side a literal or a tuple of instructions, and ``ref_side`` the
+earlier interpreter of those instructions, which the search ran each time
+an instance woke.  They stay here as the reference that
+``canonical_form``, ``up_to_isomorphism``, the node check ``_narrow`` on a
+table and its bound cells, the listing by orbits, the bounded listing, the
+orbit sums of ``count_models``, the cached instances of ``_ground_law``
+and their compiled sides, ``enumerate_drsi`` and ``_involutions`` must
+agree with exactly: the same isomorphism partition, the same
+representatives, the same verdicts, the same counts, the same instances,
+the same side values and blocking cells, and the same systems and maps in
+the same order.
 
 ``SEARCH_TREES`` pins the model count, branching nodes and forced cells of
 the labelled table search as measured before its propagation step was
@@ -65,9 +66,9 @@ from shefferkit import (
     parse_law,
     run_enumeration,
 )
-from shefferkit.search import (_builder, _cell_order, _classes, _compiled_law, _count, _ground,
-                               _ground_law, _involutions, _narrow, _relabelings, _search_tables,
-                               _side_maker)
+from shefferkit import search
+from shefferkit.search import (_builder, _cell_order, _classes, _count, _ground_law, _involutions,
+                               _narrow, _relabelings, _search_tables, _side_maker)
 from shefferkit.terms import _compile
 
 
@@ -746,36 +747,10 @@ class TestCountTreePins:
 
 
 def frozen(value):
-    """Whether ``value`` is an int or a tuple of such values all the way down."""
-    return isinstance(value, int) or isinstance(value, tuple) and all(map(frozen, value))
-
-
-class TestGroundReference:
-    """Each law is ground once per size; the cached instances equal a fresh
-    grounding and cannot be changed by the searches that share them."""
-
-    LAWS = [get_law(key) for key in CATALOG] + [
-        # premises, both constants, and a side that is a bare variable
-        parse_law("x|0 = y & (y|1)|x = x => (x|y)|0 = 1|(x|x)"),
-        parse_law("x = y => x|1 = y"),
-    ]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_same_instances(self, n):
-        for law in self.LAWS:
-            got = _ground_law(law, n)
-            assert isinstance(got, tuple)
-            assert list(got) == ref_ground([law], n), (law, n)
-            assert frozen(got), (law, n)
-
-    def test_made_once_per_law_and_size(self):
-        law = get_law("TRANS8")
-        assert _ground_law(law, 3) is _ground_law(law, 3)
-        # an equal law parsed afresh reads the same entry
-        assert _ground_law(parse_law(CATALOG["TRANS8"]), 3) is _ground_law(law, 3)
-        assert _relabelings(3, _cell_order(3, 9)) is _relabelings(3, _cell_order(3, 9))
-        assert _ground_law.cache_info().maxsize is not None
-        assert _relabelings.cache_info().maxsize is not None
+    """Whether ``value`` is an int, a function or a tuple of such values all
+    the way down."""
+    return isinstance(value, int) or callable(value) or \
+        isinstance(value, tuple) and all(map(frozen, value))
 
 
 def sides(instance):
@@ -785,18 +760,36 @@ def sides(instance):
     return [side for eq in premises + (conclusion,) for side in eq]
 
 
-def shape(code):
-    """Which operands of a side's instructions are results of earlier ones."""
-    return tuple((a if a < 0 else None, b if b < 0 else None) for a, b in code)
+class TestGroundReference:
+    """Each law is ground once per size and table size, and the cached
+    instances cannot be changed by the searches that share them.  Each side
+    is the earlier grounding's literal, or a closure that returns what the
+    earlier interpreter returns on the earlier grounding's instructions on
+    every partial table: the value, ~cell for an unknown outermost cell,
+    ~cell - size for the first unknown inner cell."""
 
+    LAWS = [get_law(key) for key in CATALOG] + [
+        # premises, both constants, and a side that is a bare variable
+        parse_law("x|0 = y & (y|1)|x = x => (x|y)|0 = 1|(x|x)"),
+        parse_law("x = y => x|1 = y"),
+    ]
 
-class TestCompiledSidesReference:
-    """Each ground side of instructions is compiled into a closure that
-    returns what the earlier interpreter returns on every partial table:
-    the value, ~cell for an unknown outermost cell, ~cell - size for the
-    first unknown inner cell."""
-
-    LAWS = TestGroundReference.LAWS
+    @pytest.mark.parametrize("bounds", [False, True], ids=["cells", "bounds"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_instances(self, n, bounds):
+        size = n * n + 2 * bounds
+        for law in self.LAWS:
+            if law.constants and not bounds:
+                continue
+            got = _ground_law(law, n, size)
+            expected = ref_ground([law], n)
+            assert isinstance(got, tuple) and frozen(got), (law, n)
+            assert len(got) == len(expected), (law, n)
+            for inst, code_inst in zip(got, expected):
+                assert [len(eq) for eq in inst[0]] == [len(eq) for eq in code_inst[0]]
+                assert [side if code.__class__ is int else callable(side)
+                        for side, code in zip(sides(inst), sides(code_inst))] == \
+                    [code if code.__class__ is int else True for code in sides(code_inst)]
 
     @pytest.mark.parametrize("bounds", [False, True], ids=["cells", "bounds"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -809,14 +802,9 @@ class TestCompiledSidesReference:
         for law in self.LAWS:
             if law.constants and not bounds:
                 continue
-            ground = _ground_law(law, n)
-            compiled = _compiled_law(law, n, size)
-            assert len(compiled) == len(ground)
-            for inst, code_inst in zip(compiled, ground):
-                assert [len(eq) for eq in inst[0]] == [len(eq) for eq in code_inst[0]]
+            for inst, code_inst in zip(_ground_law(law, n, size), ref_ground([law], n)):
                 for side, code in zip(sides(inst), sides(code_inst)):
                     if code.__class__ is int:
-                        assert side == code
                         continue
                     for table in tables:
                         assert side(table) == ref_side(code, table, n, size), (law, code, table)
@@ -824,29 +812,55 @@ class TestCompiledSidesReference:
         assert compared > 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_ground_chains_the_compiled_laws(self, n):
-        got = _ground(self.LAWS, n, n * n + 2)
-        assert got == tuple(itertools.chain.from_iterable(
-            _compiled_law(law, n, n * n + 2) for law in self.LAWS))
+    def test_search_grounds_each_pruning_law(self, n, monkeypatch):
+        # the search chains the cached instances of each required law but
+        # commutativity, which it keeps by mirroring cells
+        calls = []
 
-    def test_one_function_per_shape(self):
+        def ground_law(law, n, size):
+            calls.append((law, n, size))
+            return _ground_law(law, n, size)
+
+        monkeypatch.setattr(search, "_ground_law", ground_law)
+        laws = [get_law(key) for key in ("AX1", "COMM", "AX2", "BOUND0")]
+        _count(EnumerationSpec(n, laws, with_bounds=True))
+        assert calls == [(law, n, n * n + 2) for law in laws if law != get_law("COMM")]
+
+    def test_one_function_per_side(self):
+        # grounding afresh, so that no side keeps a maker another test's
+        # laws have since pushed out of its cache
+        _ground_law.cache_clear()
+        _side_maker.cache_clear()
         codes = {}
         for law in self.LAWS:
+            programs = [_compile([t]) for t in law.sides]
             for n in (2, 3):
                 for size in (n * n, n * n + 2):
                     if law.constants and size == n * n:
                         continue
-                    for inst, code_inst in zip(_compiled_law(law, n, size), _ground_law(law, n)):
-                        for side, code in zip(sides(inst), sides(code_inst)):
-                            if code.__class__ is not int:
-                                codes.setdefault(shape(code), set()).add(side.__code__)
-        # every side of one shape runs one generated function, whatever its
-        # literals, size and table size; sides of another shape another one
+                    for inst in _ground_law(law, n, size):
+                        for side, prog in zip(sides(inst), programs):
+                            if prog.apps or prog.consts:
+                                codes.setdefault(prog, set()).add(id(side.__code__))
+        # every instance of one side runs one generated function, whatever
+        # n, table size or assignment, and so does each side compiled to the
+        # same program; sides of another program run another one (which
+        # may compare equal, as x|y and y|x generate the same closure text)
         assert all(len(functions) == 1 for functions in codes.values())
         assert len(set.union(*codes.values())) == len(codes)
-        assert _compiled_law(self.LAWS[0], 3, 9) is _compiled_law(self.LAWS[0], 3, 9)
+
+    def test_made_once_per_law_and_size(self):
+        law = get_law("TRANS8")
+        assert _ground_law(law, 3, 9) is _ground_law(law, 3, 9)
+        assert _ground_law(law, 3, 11) is not _ground_law(law, 3, 9)
+        # an equal law parsed afresh reads the same entry
+        assert _ground_law(parse_law(CATALOG["TRANS8"]), 3, 9) is _ground_law(law, 3, 9)
+        side = _compile([law.sides[0]])
+        assert _side_maker(side) is _side_maker(_compile([law.sides[0]]))
+        assert _relabelings(3, _cell_order(3, 9)) is _relabelings(3, _cell_order(3, 9))
+        assert _ground_law.cache_info().maxsize is not None
         assert _side_maker.cache_info().maxsize is not None
-        assert _compiled_law.cache_info().maxsize is not None
+        assert _relabelings.cache_info().maxsize is not None
 
 
 class TestDrsiEnumerationReference:

@@ -256,7 +256,7 @@ def test_built_laws_compare_hash_and_check_without_walking(monkeypatch, nand):
     texts = ["x" + "'" * 40 + " = x", "x|((x|y)'|z)' = (x|y)'|z", "x|y = 1 => y|x = 0"]
     laws = [parse_law(text) for text in texts]
     again = [parse_law(text) for text in texts]
-    ground = [search._ground_law(law, 2) for law in laws]
+    ground = [search._ground_law(law, 2, 6) for law in laws]
     bounded = Groupoid(nand.carrier, nand.table, 0, 1)
 
     def walk(terms):
@@ -266,7 +266,7 @@ def test_built_laws_compare_hash_and_check_without_walking(monkeypatch, nand):
     for law, same, instances in zip(laws, again, ground):
         assert hash(law) == hash(same) and law == same
         assert all(law != other for other in laws if other is not law)
-        assert search._ground_law(same, 2) is instances
+        assert search._ground_law(same, 2, 6) is instances
         assert check_law(bounded, same) == check_law(bounded, law)
 
 
